@@ -16,7 +16,9 @@ for gp-predict): identical inputs give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -187,13 +189,20 @@ def _error_json(kind: str, exc: Exception) -> str:
         payload["error"]["witness"] = ser.label_to_jsonable(extra)
     cond = getattr(exc, "condition", None)
     if cond is not None:
-        payload["error"]["condition"] = float(cond)
+        # JSON has no infinity: an exactly singular matrix reads null.
+        cond = float(cond)
+        payload["error"]["condition"] = cond if math.isfinite(cond) else None
     return ser.dumps_canonical(payload) + "\n"
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, BackendMismatchError) as e:

@@ -170,9 +170,18 @@ def gauss_swap_blocks(g: GaussianMeasure, head_dim: int) -> GaussianMeasure:
     return GaussianMeasure(g.mean[perm], g.cov[np.ix_(perm, perm)])
 
 
+def _condition(K: np.ndarray) -> float:
+    """The 2-norm condition number of a symmetric matrix from one
+    eigvalsh: max|lambda| / min|lambda|, infinite when min|lambda| = 0.
+    It equals np.linalg.cond for symmetric K, without an SVD."""
+    mags = np.abs(np.linalg.eigvalsh(K))
+    lo = float(mags.min())
+    return math.inf if lo == 0.0 else float(mags.max()) / lo
+
+
 def _checked_solve(K: np.ndarray, rhs: np.ndarray,
                    max_condition: float) -> np.ndarray:
-    cond = float(np.linalg.cond(K))
+    cond = _condition(K)
     if not math.isfinite(cond) or cond > max_condition:
         raise SingularMatrixError(condition=cond)
     return np.linalg.solve(K, rhs)
@@ -356,8 +365,22 @@ def discretize_model_1d(prior: GaussianMeasure, t: AffineGaussianMap,
     ogrid = GridSpec.around(pred.mean[0], math.sqrt(pred.cov[0, 0]),
                             half_width_sigmas, step_sigmas)
     obs_space = gauss_discretize(pred, ogrid).space
-    rows = np.stack([
-        gauss_discretize(t.at([c]), ogrid, strict=False).weights
-        for c in prior_m.space.labels])
+    # Row c is gauss_discretize(t.at([c]), ogrid, strict=False), computed
+    # for all parameter cells at once with the same operations in the
+    # same order, so the rows are bit-identical to that route.
+    noise = float(t.noise[0, 0])
+    if noise <= 0:
+        raise GridError("cannot discretize: covariance is singular")
+    means = t.A[0, 0] * pgrid.centers(0) + t.b[0]
+    z = ogrid.centers(0)[None, :] - means[:, None]
+    z /= math.sqrt(noise)
+    rows = z * -0.5
+    rows *= z
+    del z
+    np.exp(rows, out=rows)
+    totals = rows.sum(axis=1)
+    if not (totals > 0).all():
+        raise GridError("grid catches no probability mass")
+    rows /= totals[:, None]
     return BayesModel(prior=prior_m,
                       sampling=finite_kernel(prior_m.space, obs_space, rows))

@@ -9,6 +9,7 @@ dense array arithmetic, exact on the rational backend.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -120,7 +121,10 @@ def finite_kernel(source: FiniteSpace, target: FiniteSpace, rows,
             arr = np.where(arr < 0.0, 0.0, arr)
         sums = arr.sum(axis=1)
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > PROB_SUM_TOL:
+        if not worst <= PROB_SUM_TOL:         # a NaN or inf entry lands here too
+            if not math.isfinite(worst):
+                raise SchemaError(
+                    f"non-finite kernel row sum {worst}: entries must be finite")
             raise SchemaError(
                 f"kernel row sums off by {worst:.3g}, outside tolerance {PROB_SUM_TOL}")
     else:

@@ -256,10 +256,14 @@ def signed_measure(space: FiniteSpace, weights, scalar: str | None = None) -> Fi
 
 
 def measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
-    """A nonnegative measure.  Float weights in [-1e-12, 0) are clamped to 0."""
+    """A nonnegative measure.  Float weights must be finite; those in
+    [-1e-12, 0) are clamped to 0."""
     m = signed_measure(space, weights, scalar)
     arr = m.weights
     if m.scalar == FLOAT:
+        total = float(arr.sum())           # NaN and inf propagate into the sum
+        if not math.isfinite(total):
+            raise SchemaError(f"non-finite total weight {total} in a measure")
         low = float(arr.min(initial=0.0))
         if low < -NEG_WEIGHT_TOL:
             raise SchemaError(f"negative weight {low:.6g} in a measure")

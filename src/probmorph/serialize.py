@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -56,7 +57,8 @@ def _write(obj, out: list) -> None:
             raise SchemaError("cannot serialize non-finite float")
         out.append(format(x, ".17g"))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        # escapes as json.dumps(obj, ensure_ascii=False) does
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):

@@ -153,11 +153,11 @@ def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
     """
     if len(s) == 0:
         return InferenceResult(model.prior, False)
+    obs = _observation_label(s.outputs)
+    if any(y not in model.labels for y in s.outputs):
+        raise SchemaError(f"observed labels {obs!r} outside the label space")
     sk = sampling_kernel(model, s.inputs)
     inv = bayes_invert(BayesModel(prior=model.prior, sampling=sk))
-    obs = _observation_label(s.outputs)
-    if obs not in sk.target:
-        raise SchemaError(f"observed labels {obs!r} outside the label space")
     if obs in inv.null_points:
         return InferenceResult(model.prior, True)
     return InferenceResult(inv.kernel.row(obs), False)
@@ -236,7 +236,11 @@ def constant_mean(c: float):
 
 def squared_exponential(length_scale: float = 1.0, amplitude: float = 1.0):
     """k(x, x') = amplitude^2 * exp(-|x - x'|^2 / (2 length_scale^2)),
-    accepting scalar or vector inputs."""
+    accepting scalar or vector inputs.
+
+    The returned callable carries an array form as its ``gram``
+    attribute: ``k.gram(X, Y)`` is the Gram block over (n, d) and (m, d)
+    input arrays, bit-identical to calling k on every pair."""
     if length_scale <= 0 or amplitude <= 0:
         raise SchemaError("length_scale and amplitude must be positive")
     two_l2 = 2.0 * length_scale * length_scale
@@ -246,10 +250,33 @@ def squared_exponential(length_scale: float = 1.0, amplitude: float = 1.0):
         d = np.asarray(x, dtype=np.float64) - np.asarray(x2, dtype=np.float64)
         return a2 * float(np.exp(-np.sum(d * d) / two_l2))
 
+    def gram(X, Y):
+        d = X[:, None, :] - Y[None, :, :]
+        d *= d
+        sq = d.sum(axis=-1)
+        np.negative(sq, out=sq)
+        sq /= two_l2
+        np.exp(sq, out=sq)
+        sq *= a2
+        return sq
+
+    k.gram = gram
     return k
 
 
+def _input_array(xs) -> np.ndarray:
+    """Inputs as an (n, d) float array; scalar inputs give d = 1."""
+    a = np.asarray(xs, dtype=np.float64)
+    return a[:, None] if a.ndim == 1 else a
+
+
 def _gram(cov_fn, xs, ys) -> np.ndarray:
+    """The Gram block [cov_fn(x, y)] for x in xs, y in ys.  Uses the
+    callable's array form when it has one (see squared_exponential),
+    else calls it once per pair."""
+    gram = getattr(cov_fn, "gram", None)
+    if gram is not None:
+        return gram(_input_array(xs), _input_array(ys))
     return np.array([[cov_fn(x, y) for y in ys] for x in xs],
                     dtype=np.float64)
 
@@ -300,7 +327,9 @@ def gp_posterior_predictive(gp: GPModel, s: TrainingSet, t: TestInputs,
         C = C + jitter * np.eye(len(xs))
     resid = ys - _mean_vec(gp.mean_fn, xs)
     alpha = _checked_solve(C, resid, max_condition)
-    gain = _checked_solve(C, ktx.T, max_condition)
+    # C is checked once.  Two solves, not one stacked solve: stacking the
+    # right-hand sides changes the mean in the last bit.
+    gain = np.linalg.solve(C, ktx.T)
     mean = _mean_vec(gp.mean_fn, ts) + ktx @ alpha
     cov = ktt - ktx @ gain
     return GaussianMeasure(mean, cov)

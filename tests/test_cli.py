@@ -76,6 +76,28 @@ class TestInvert:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["invert", "--input", str(tmp_path / "nope.json")]) == 2
 
+    def test_nan_in_the_model_exits_2_naming_it(self, tmp_path, capsys):
+        model = {"prior": {"labels": ["t1", "t2"], "weights": [0.5, 0.5],
+                           "scalar": "float"},
+                 "sampling": {"source": ["t1", "t2"], "target": ["x0", "x1"],
+                              "rows": [[float("nan"), 1.0], [0.25, 0.75]]}}
+        inp = write_json(tmp_path / "model.json", model)
+        assert "NaN" in (tmp_path / "model.json").read_text()
+        assert main(["invert", "--input", inp]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SchemaError"
+        assert "non-finite" in err["error"]["message"]
+        assert "nan" in err["error"]["message"]
+
+    def test_control_character_labels_give_valid_json(self, tmp_path, capsys):
+        model = {"prior": MODEL["prior"],
+                 "sampling": dict(MODEL["sampling"],
+                                  target=["line\nbreak", "tab\tstop"])}
+        inp = write_json(tmp_path / "model.json", model)
+        assert main(["invert", "--input", inp]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["kernel"]["source"] == ["line\nbreak", "tab\tstop"]
+
     def test_non_stochastic_rows_exit_2(self, tmp_path):
         broken = dict(MODEL)
         broken["sampling"] = {"source": ["t1", "t2"], "target": ["x0", "x1"],
@@ -165,6 +187,24 @@ class TestGpPredict:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SingularMatrixError"
         assert "condition" in err["error"]
+
+    def test_infinite_condition_exits_3_with_null(self, tmp_path, capsys):
+        # amplitude^2 underflows to 0, so the Gram matrix is exactly zero
+        cfg = write_json(tmp_path / "gp.json", dict(
+            GP_CONFIG, noise_var=0.0,
+            kernel=dict(GP_CONFIG["kernel"], amplitude=1e-200)))
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n0.0,1.0\n1.0,2.0\n")
+        test = tmp_path / "test.csv"
+        test.write_text("x\n0.5\n")
+        assert main(["gp-predict", "--input", cfg, "--data", str(train),
+                     "--test", str(test)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "SingularMatrixError"
+        assert payload["error"]["condition"] is None
 
     def test_explicit_jitter_recovers(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gp.json", dict(GP_CONFIG, noise_var=0.0))

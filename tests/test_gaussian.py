@@ -260,3 +260,39 @@ class TestFiniteOracles:
         exact = gauss_pushforward(t, prior)
         assert abs(mean[0] - exact.mean[0]) < 1e-3
         assert abs(cov[0, 0] - exact.cov[0, 0]) / exact.cov[0, 0] < 1e-3
+
+
+class TestGridRowsAndConditionEstimate:
+    """discretize_model_1d and the eigvalsh condition estimate against
+    the per-row route and np.linalg.cond."""
+
+    @pytest.mark.parametrize("m, s, a, b, n", [
+        (1.0, 1.0, 1.0, 0.0, 1.0), (0.3, 0.7, 1.3, -0.2, 0.4),
+        (-2.0, 1.9, -0.6, 0.4, 3.0), (0.0, 0.5, 0.0, 1.0, 0.25)])
+    def test_rows_match_per_row_discretization(self, m, s, a, b, n):
+        prior = GaussianMeasure([m], [[s]])
+        t = AffineGaussianMap([[a]], [b], [[n]])
+        finite = pm.discretize_model_1d(prior, t, 8.0, 0.05)
+        pred = gauss_pushforward(t, prior)
+        ogrid = GridSpec.around(pred.mean[0], math.sqrt(pred.cov[0, 0]), 8.0, 0.05)
+        rows = np.stack([gauss_discretize(t.at([c]), ogrid, strict=False).weights
+                         for c in finite.parameters.labels])
+        assert np.array_equal(finite.sampling.rows, rows)
+
+    def test_zero_noise_map_is_refused(self):
+        prior = GaussianMeasure([0.0], [[1.0]])
+        t = AffineGaussianMap([[1.0]], [0.0], [[0.0]])
+        with pytest.raises(GridError, match="singular"):
+            pm.discretize_model_1d(prior, t)
+
+    def test_condition_estimate_matches_svd_on_spd_matrices(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 30):
+            for scale in (1e-3, 1.0, 1e6):
+                B = rng.normal(size=(n, n))
+                K = B @ B.T + scale * np.eye(n)
+                est = pm.gaussian._condition(K)
+                assert est == pytest.approx(np.linalg.cond(K), rel=1e-9)
+
+    def test_exactly_singular_matrix_reads_infinite(self):
+        assert pm.gaussian._condition(np.ones((2, 2))) == math.inf

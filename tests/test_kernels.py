@@ -50,6 +50,11 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             finite_kernel(X, Y, [[0.5, 0.6], [1.0, 0.0]])
 
+    def test_non_finite_float_entries_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SchemaError, match="non-finite"):
+                finite_kernel(X, Y, [[bad, 1.0], [1.0, 0.0]])
+
     def test_negative_entries_rejected(self):
         with pytest.raises(SchemaError):
             finite_kernel(X, Y, [[F(3, 2), F(-1, 2)], [F(1), F(0)]])

@@ -99,6 +99,14 @@ class TestMeasureConstruction:
         with pytest.raises(SchemaError):
             measure(s, [1.0, -1e-9])
 
+    def test_non_finite_float_weights_are_rejected(self):
+        s = FiniteSpace(("a", "b"))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SchemaError, match="non-finite total weight"):
+                measure(s, [bad, 1.0])
+            with pytest.raises(SchemaError, match="non-finite total weight"):
+                prob_measure(s, [1.0, bad])
+
     def test_rational_negatives_are_rejected_outright(self):
         s = FiniteSpace(("a", "b"))
         with pytest.raises(SchemaError):

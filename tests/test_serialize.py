@@ -39,6 +39,16 @@ class TestCanonicalDumps:
     def test_string_escaping(self):
         assert ser.dumps_canonical('a"b\\c') == '"a\\"b\\\\c"'
 
+    def test_control_characters_escape_as_json_dumps_does(self):
+        labels = ["line\nbreak", "tab\tstop", "cr\r", "\x00\x1f\x7f",
+                  "\b\f", "caf\u00e9 \u2603", 'q"\\']
+        for s in labels:
+            text = ser.dumps_canonical(s)
+            assert text == json.dumps(s, ensure_ascii=False)
+            assert json.loads(text) == s
+        payload = {"labels": labels, "weights": [0.5] * len(labels)}
+        assert json.loads(ser.dumps_canonical(payload)) == payload
+
 
 class TestMeasureRoundTrip:
     def test_rational_measure(self):

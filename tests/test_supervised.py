@@ -104,6 +104,17 @@ class TestPosterior:
         assert res.null_evidence
         assert pm.measures_equal(res.measure, model.prior)
 
+    def test_unknown_label_is_refused_before_the_sampling_kernel(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling_kernel built for a bad label")
+
+        monkeypatch.setattr(pm.supervised, "sampling_kernel", never)
+        pairs = (("a", 1), ("b", 7), ("a", 0))
+        with pytest.raises(SchemaError, match=r"observed labels \(1, 7, 0\) outside"):
+            posterior(MODEL, TrainingSet(pairs))
+        with pytest.raises(SchemaError, match="observed labels 7 outside"):
+            posterior(MODEL, TrainingSet((("a", 7),)))
+
     def test_sequential_equals_batch(self):
         s_all = TrainingSet((("a", 1), ("b", 0), ("a", 0)))
         batch = posterior(MODEL, s_all)
@@ -254,3 +265,41 @@ class TestGPRegression:
                                         TestInputs((t,)))
         assert abs(mean_f - exact.mean[0]) / abs(exact.mean[0]) < 1e-3
         assert abs(var_f - exact.cov[0, 0]) / exact.cov[0, 0] < 1e-3
+
+
+class TestArrayGram:
+    """The array form of squared_exponential against the per-pair loop."""
+
+    @staticmethod
+    def per_pair(k, xs, ys):
+        return pm.supervised._gram(lambda x, y: k(x, y), xs, ys)
+
+    @pytest.mark.parametrize("length, amp", [(1.0, 1.0), (0.37, 2.5), (3.1, 0.2)])
+    def test_one_dimensional_inputs(self, length, amp):
+        k = squared_exponential(length, amp)
+        xs = list(np.random.default_rng(5).normal(0.0, 2.0, size=40))
+        got = pm.supervised._gram(k, xs, xs)
+        assert got.shape == (40, 40)
+        assert np.array_equal(got, self.per_pair(k, xs, xs))
+
+    def test_two_dimensional_inputs_and_rectangular_blocks(self):
+        k = squared_exponential(0.9, 1.4)
+        rng = np.random.default_rng(6)
+        xs = [tuple(p) for p in rng.uniform(-3.0, 3.0, size=(30, 2))]
+        ts = [tuple(p) for p in rng.uniform(-3.0, 3.0, size=(7, 2))]
+        for a, b in ((xs, xs), (ts, xs), (xs, ts)):
+            got = pm.supervised._gram(k, a, b)
+            assert got.shape == (len(a), len(b))
+            assert np.array_equal(got, self.per_pair(k, a, b))
+
+    def test_plain_callable_gives_the_same_prediction(self):
+        k = squared_exponential(1.2, 0.9)
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-4.0, 4.0, size=25)
+        s = TrainingSet(tuple(zip(xs, np.sin(xs))))
+        t = TestInputs(tuple(np.linspace(-4.0, 4.0, 9)))
+        fast = gp_posterior_predictive(GPModel(constant_mean(0.3), k, 0.1), s, t)
+        slow = gp_posterior_predictive(
+            GPModel(constant_mean(0.3), lambda x, y: k(x, y), 0.1), s, t)
+        assert np.array_equal(fast.mean, slow.mean)
+        assert np.array_equal(fast.cov, slow.cov)
