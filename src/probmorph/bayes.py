@@ -23,9 +23,10 @@ from .measures import (
     _freeze,
     arrays_equal,
     prob_measure,
+    product_space,
     require_same_scalar,
 )
-from .kernels import FiniteKernel, compose, graph, mirror, pushforward
+from .kernels import FiniteKernel, compose, mirror, pushforward
 
 _ZERO_F = Fraction(0)
 
@@ -70,9 +71,17 @@ class InversionResult:
     null_points: tuple
 
 
+def _graph_pushforward(t: FiniteKernel, m: FiniteMeasure) -> FiniteMeasure:
+    """m pushed through the graph of t: the joint m(x) t(y|x) on
+    source x target, without building the graph's dense rows."""
+    require_same_scalar(t, m)
+    w = (m.weights[:, None] * t.rows).reshape(-1)
+    return FiniteMeasure(product_space([t.source, t.target]), _freeze(w))
+
+
 def joint_measure(model: BayesModel) -> FiniteMeasure:
     """The joint over parameters x observations induced by the model."""
-    return pushforward(graph(model.sampling), model.prior)
+    return _graph_pushforward(model.sampling, model.prior)
 
 
 def predictive_measure(model: BayesModel) -> FiniteMeasure:
@@ -147,7 +156,7 @@ def verify_inversion(model: BayesModel, q: FiniteKernel,
     """
     if q.source != model.observations or q.target != model.parameters:
         raise SchemaError("candidate kernel has the wrong spaces")
-    lhs = mirror(pushforward(graph(q), predictive_measure(model)))
+    lhs = mirror(_graph_pushforward(q, predictive_measure(model)))
     rhs = joint_measure(model)
     scalar = require_same_scalar(lhs, rhs)
     return arrays_equal(lhs.weights, rhs.weights, scalar, tol)

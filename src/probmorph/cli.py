@@ -72,14 +72,7 @@ def _cmd_invert(args) -> int:
 
 def _supervised_from_args(args) -> SupervisedModel:
     model = ser.supervised_model_from_jsonable(_load_json(args.input, "model"))
-    if args.backend and args.backend != model.scalar:
-        if args.backend == RATIONAL:
-            raise SchemaError("cannot convert float data to the rational backend; "
-                              "supply rational ('p/q') inputs instead")
-        model = SupervisedModel(
-            prior=model.prior.as_float(),
-            supervisors=tuple(k.as_float() for k in model.supervisors))
-    return model
+    return _convert_backend(model, args.backend, model.scalar)
 
 
 def _cmd_posterior(args) -> int:

@@ -340,8 +340,8 @@ def gp_model_from_jsonable(d, where: str = "gp") -> GPModel:
     else:
         raise SchemaError(f"{where}.mean.type: unsupported type {mtype!r}")
     noise = _require(d, "noise_var", (int, float), where)
-    if isinstance(noise, bool) or float(noise) < 0:
-        raise SchemaError(f"{where}.noise_var: must be a nonnegative number")
+    if isinstance(noise, bool) or not 0 <= float(noise) < math.inf:
+        raise SchemaError(f"{where}.noise_var: must be a finite nonnegative number")
     return GPModel(mean_fn=mean_fn,
                    cov_fn=squared_exponential(float(length), float(amp)),
                    noise_var=float(noise))
@@ -369,6 +369,8 @@ def _parse_x(row, xcols, where):
         vals = [float(row[c]) for c in xcols]
     except (TypeError, ValueError, KeyError):
         raise SchemaError(f"{where}: non-numeric input value in row {row!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise SchemaError(f"{where}: non-finite input value in row {row!r}")
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
@@ -383,6 +385,8 @@ def read_training_csv(path) -> TrainingSet:
                 y = float(row["y"])
             except (TypeError, ValueError):
                 raise SchemaError(f"{str(path)}: non-numeric y in row {row!r}") from None
+            if not math.isfinite(y):
+                raise SchemaError(f"{str(path)}: non-finite y in row {row!r}")
             pairs.append((x, y))
     return TrainingSet(tuple(pairs))
 

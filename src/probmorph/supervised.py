@@ -10,6 +10,7 @@ cross-checked against generic Gaussian conditioning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,15 +18,16 @@ import numpy as np
 
 from .errors import SchemaError
 from .measures import (
+    FLOAT,
     FiniteMeasure,
     FiniteSpace,
+    _freeze,
     measures_equal,
     product_measure,
     product_space,
     require_same_scalar,
 )
 from .kernels import FiniteKernel, finite_kernel, marginal, pushforward
-from .bayes import BayesModel, bayes_invert
 from .gaussian import (
     MAX_CONDITION,
     GaussianMeasure,
@@ -69,6 +71,10 @@ class SupervisedModel:
     @property
     def scalar(self) -> str:
         return self.prior.scalar
+
+    def as_float(self) -> "SupervisedModel":
+        return SupervisedModel(self.prior.as_float(),
+                               tuple(k.as_float() for k in self.supervisors))
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,12 @@ class InferenceResult:
     null_evidence: bool
 
 
+def _require_inputs(model: SupervisedModel, xs: tuple) -> None:
+    for x in xs:
+        if x not in model.inputs:
+            raise SchemaError(f"input {x!r} not in the model's input space")
+
+
 def sampling_kernel(model: SupervisedModel, xs: Sequence) -> FiniteKernel:
     """The kernel from hypotheses to label tuples at the given inputs.
 
@@ -130,9 +142,7 @@ def sampling_kernel(model: SupervisedModel, xs: Sequence) -> FiniteKernel:
     xs = tuple(xs)
     if len(xs) == 0:
         raise SchemaError("need at least one input point")
-    for x in xs:
-        if x not in model.inputs:
-            raise SchemaError(f"input {x!r} not in the model's input space")
+    _require_inputs(model, xs)
     rows = []
     for k in model.supervisors:
         rows.append(product_measure([k.row(x) for x in xs]).weights)
@@ -144,8 +154,35 @@ def _observation_label(ys: tuple):
     return ys[0] if len(ys) == 1 else tuple(ys)
 
 
+# A float running likelihood whose largest entry falls below this is
+# rescaled by a power of two, so a long training set cannot underflow.
+_RESCALE_BELOW = 2.0 ** -500
+
+
+def _likelihood(model: SupervisedModel, s: TrainingSet) -> np.ndarray:
+    """prod_i supervisor_theta(y_i | x_i) for every hypothesis theta,
+    multiplied left to right in the order product_measure uses.
+
+    On the float backend the result is known only up to a positive
+    power-of-two factor, which normalization cancels exactly.
+    """
+    xi = [model.inputs.index(x) for x in s.inputs]
+    yi = [model.labels.index(y) for y in s.outputs]
+    factors = np.stack([k.rows[xi, yi] for k in model.supervisors])
+    rescale = model.scalar == FLOAT
+    lik = factors[:, 0]
+    for j in range(1, len(s)):
+        lik = lik * factors[:, j]
+        if rescale:
+            top = lik.max()
+            if 0.0 < top < _RESCALE_BELOW:
+                lik = np.ldexp(lik, -np.frexp(top)[1])
+    return lik
+
+
 def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
-    """Condition the prior on the training pairs.
+    """Condition the prior on the training pairs: prior times the
+    likelihood of every pair, normalized.  Linear in the number of pairs.
 
     An empty training set returns the prior untouched.  If the observed
     label tuple has zero marginal probability the result is the prior
@@ -156,11 +193,13 @@ def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
     obs = _observation_label(s.outputs)
     if any(y not in model.labels for y in s.outputs):
         raise SchemaError(f"observed labels {obs!r} outside the label space")
-    sk = sampling_kernel(model, s.inputs)
-    inv = bayes_invert(BayesModel(prior=model.prior, sampling=sk))
-    if obs in inv.null_points:
+    _require_inputs(model, s.inputs)
+    joint = _likelihood(model, s) * model.prior.weights
+    evidence = joint.sum()
+    if evidence == 0:
         return InferenceResult(model.prior, True)
-    return InferenceResult(inv.kernel.row(obs), False)
+    return InferenceResult(
+        FiniteMeasure(model.hypotheses, _freeze(joint / evidence)), False)
 
 
 def predictive(model: SupervisedModel, s: TrainingSet,
@@ -221,8 +260,8 @@ class GPModel:
     noise_var: float
 
     def __post_init__(self):
-        if self.noise_var < 0:
-            raise SchemaError("noise variance must be nonnegative")
+        if not 0 <= self.noise_var < math.inf:     # NaN fails too
+            raise SchemaError("noise variance must be finite and nonnegative")
 
 
 def zero_mean():
@@ -241,8 +280,8 @@ def squared_exponential(length_scale: float = 1.0, amplitude: float = 1.0):
     The returned callable carries an array form as its ``gram``
     attribute: ``k.gram(X, Y)`` is the Gram block over (n, d) and (m, d)
     input arrays, bit-identical to calling k on every pair."""
-    if length_scale <= 0 or amplitude <= 0:
-        raise SchemaError("length_scale and amplitude must be positive")
+    if not (0 < length_scale < math.inf and 0 < amplitude < math.inf):
+        raise SchemaError("length_scale and amplitude must be positive and finite")
     two_l2 = 2.0 * length_scale * length_scale
     a2 = amplitude * amplitude
 

@@ -1,5 +1,6 @@
 """Disintegration and Bayesian inversion on finite models."""
 
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -118,6 +119,30 @@ class TestBayesInvert:
     def test_verification_rejects_a_perturbed_kernel(self):
         wrong = finite_kernel(X, TH, [[F(1, 2), F(1, 2)], [F(1, 7), F(6, 7)]])
         assert not verify_inversion(MODEL, wrong)
+
+    def test_joint_equals_the_graph_pushforward(self):
+        # the joint is built by broadcasting; the dense graph is the oracle
+        prior = prob_measure(TH, [F(1), F(0)])
+        samp = finite_kernel(TH, Z, [[F(1, 2), F(1, 2), F(0)],
+                                     [F(0), F(1, 3), F(2, 3)]])
+        for model in (MODEL, BayesModel(prior=prior, sampling=samp)):
+            j = joint_measure(model)
+            want = pushforward(graph(model.sampling), model.prior)
+            assert j.space == want.space
+            assert list(j.weights) == list(want.weights)
+
+    def test_rational_64_by_64_verifies_quickly(self):
+        from probmorph.laws import random_kernel, random_prob
+        rng = np.random.default_rng(64)
+        th = FiniteSpace(tuple(f"t{i}" for i in range(64)))
+        xs = FiniteSpace(tuple(f"x{i}" for i in range(64)))
+        model = BayesModel(prior=random_prob(rng, th, "rational"),
+                           sampling=random_kernel(rng, th, xs, "rational",
+                                                  allow_zero=True))
+        inv = bayes_invert(model)
+        t0 = time.perf_counter()
+        assert verify_inversion(model, inv.kernel, 0.0)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_float_backend_verifies_within_tolerance(self):
         fm = MODEL.as_float()

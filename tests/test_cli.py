@@ -224,6 +224,43 @@ class TestGpPredict:
         assert main(["gp-predict", "--input", cfg, "--data", str(train),
                      "--test", str(test)]) == 2
 
+    @pytest.mark.parametrize("train_csv, test_csv, bad", [
+        ("x,y\n0.0,nan\n1.0,2.0\n", "x\n0.5\n", "y"),
+        ("x,y\n0.0,1.0\n1.0,-inf\n", "x\n0.5\n", "y"),
+        ("x,y\ninf,1.0\n1.0,2.0\n", "x\n0.5\n", "input"),
+        ("x,y\n0.0,1.0\n1.0,2.0\n", "x\n0.5\nnan\n", "input"),
+    ])
+    def test_non_finite_csv_value_exits_2_leaving_no_output(
+            self, tmp_path, capsys, train_csv, test_csv, bad):
+        cfg = write_json(tmp_path / "gp.json", GP_CONFIG)
+        train = tmp_path / "train.csv"
+        train.write_text(train_csv)
+        test = tmp_path / "test.csv"
+        test.write_text(test_csv)
+        out = tmp_path / "out.csv"
+        assert main(["gp-predict", "--input", cfg, "--data", str(train),
+                     "--test", str(test), "--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SchemaError"
+        assert f"non-finite {bad}" in err["error"]["message"]
+        assert "row" in err["error"]["message"]
+        assert not out.exists()
+        assert not (tmp_path / "out.cov.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", ["length_scale", "amplitude", "noise_var"])
+    def test_non_finite_gp_parameter_exits_2(self, tmp_path, capsys, param, value):
+        cfg, train, test = self._files(tmp_path)
+        if param == "noise_var":
+            config = dict(GP_CONFIG, noise_var=value)
+        else:
+            config = dict(GP_CONFIG, kernel=dict(GP_CONFIG["kernel"], **{param: value}))
+        write_json(tmp_path / "gp.json", config)      # json writes NaN / Infinity
+        assert main(["gp-predict", "--input", cfg, "--data", train,
+                     "--test", test]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SchemaError"
+
 
 class TestCheckLaws:
     def test_clean_build_reports_zero_failures(self, tmp_path, capsys):

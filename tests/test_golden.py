@@ -1,0 +1,32 @@
+"""The CLI reproduces committed rational artifacts byte for byte.
+
+The fixtures under tests/data/golden/ were written by
+tests/data/make_golden.py; see its docstring before regenerating them.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from probmorph.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+_spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+CASES = sorted(p.name for p in make_golden.GOLDEN.iterdir() if p.is_dir())
+
+
+def test_every_generated_case_is_committed():
+    assert CASES == sorted(make_golden.CASES)
+
+
+@pytest.mark.parametrize("op", ["invert", "posterior", "predictive"])
+@pytest.mark.parametrize("case", CASES)
+def test_artifact_is_byte_identical(tmp_path, case, op):
+    d = make_golden.GOLDEN / case
+    out = tmp_path / f"{op}.json"
+    assert main(make_golden.commands(d)[op] + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (d / f"{op}.json").read_bytes()

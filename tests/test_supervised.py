@@ -2,6 +2,7 @@
 the Gaussian-process pipeline with its finite cross-check."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,6 +30,7 @@ from probmorph import (
     squared_exponential,
     zero_mean,
 )
+from probmorph.laws import batch_posterior, random_kernel, random_prob, random_space
 
 TH = FiniteSpace(("t1", "t2"))
 INPUTS = FiniteSpace(("a", "b"))
@@ -130,6 +132,104 @@ class TestPosterior:
         fwd = posterior(MODEL, TrainingSet(pairs))
         rev = posterior(MODEL, TrainingSet(pairs[::-1]))
         assert pm.measures_equal(fwd.measure, rev.measure)
+
+    def test_unknown_input_is_refused_like_the_sampling_kernel(self):
+        with pytest.raises(SchemaError, match="input 'c' not in the model's input space"):
+            posterior(MODEL, TrainingSet((("a", 1), ("c", 0))))
+
+    def test_no_sampling_kernel_is_built(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("posterior built a sampling kernel")
+
+        monkeypatch.setattr(pm.supervised, "sampling_kernel", never)
+        res = posterior(MODEL, TrainingSet((("a", 1),)))
+        assert list(res.measure.weights) == [F(1, 6), F(5, 6)]
+
+
+def _random_rational_model(rng):
+    thetas = random_space(rng, 5, "t")
+    inputs = random_space(rng, 4, "a")
+    labels = random_space(rng, 3, "y")
+    prior = random_prob(rng, thetas, "rational", allow_zero=True)
+    sup = tuple(random_kernel(rng, inputs, labels, "rational", allow_zero=True)
+                for _ in range(thetas.size))
+    model = SupervisedModel(prior=prior, supervisors=sup)
+    pairs = tuple((inputs.labels[int(rng.integers(inputs.size))],
+                   labels.labels[int(rng.integers(labels.size))])
+                  for _ in range(int(rng.integers(1, 5))))
+    return model, TrainingSet(pairs)
+
+
+class TestAgainstBatchInversion:
+    """posterior is prior x likelihood, normalized; the oracle inverts
+    the whole labels^n sampling kernel and reads the observed row."""
+
+    def test_random_rational_models_agree_exactly(self):
+        rng = np.random.default_rng(2024)
+        nulls = 0
+        for _ in range(50):
+            model, s = _random_rational_model(rng)
+            got, want = posterior(model, s), batch_posterior(model, s)
+            assert got.null_evidence == want.null_evidence
+            assert list(got.measure.weights) == list(want.measure.weights)
+            assert got.measure.space == want.measure.space
+            nulls += got.null_evidence
+        assert 0 < nulls < 50        # both branches are exercised
+
+    def test_random_float_models_agree_within_1e_12(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            model, s = _random_rational_model(rng)
+            fmodel = model.as_float()
+            got, want = posterior(fmodel, s), batch_posterior(fmodel, s)
+            assert got.measure.scalar == "float"
+            assert got.null_evidence == want.null_evidence
+            assert pm.measures_equal(got.measure, want.measure, 1e-12)
+
+    def test_thirty_pairs_take_milliseconds_and_match_the_hand_product(self):
+        rng = np.random.default_rng(30)
+        thetas = FiniteSpace(("t0", "t1", "t2", "t3"))
+        inputs = FiniteSpace(("a", "b", "c"))
+        labels = FiniteSpace((0, 1, 2))
+        prior = random_prob(rng, thetas, "rational")
+        sup = tuple(random_kernel(rng, inputs, labels, "rational")
+                    for _ in range(thetas.size))
+        model = SupervisedModel(prior=prior, supervisors=sup)
+        pairs = tuple((inputs.labels[int(rng.integers(3))], int(rng.integers(3)))
+                      for _ in range(30))
+        s = TrainingSet(pairs)
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            res = posterior(model, s)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.05            # the batch route needs 3**30 columns
+        joint = []
+        for i, k in enumerate(sup):
+            w = prior.weights[i]
+            for x, y in pairs:
+                w *= k.rows[inputs.index(x), labels.index(y)]
+            joint.append(w)
+        assert not res.null_evidence
+        assert list(res.measure.weights) == [w / sum(joint) for w in joint]
+
+    def test_long_float_training_set_does_not_underflow(self):
+        # the likelihood of the pairs is about e**-1346 (1e-585) under the
+        # likelier hypothesis, far below the smallest float
+        p = {"t1": (0.3, 0.7), "t2": (0.4, 0.6)}
+        sup = tuple(finite_kernel(INPUTS, LABELS, [list(p[t]), list(p[t])])
+                    for t in TH.labels)
+        model = SupervisedModel(prior=prob_measure(TH, [0.5, 0.5]),
+                                supervisors=sup)
+        pairs = tuple(("a" if i % 2 else "b", int(i % 5 < 3)) for i in range(2000))
+        res = posterior(model, TrainingSet(pairs))
+        assert not res.null_evidence
+        logs = [sum(math.log(p[t][y]) for _, y in pairs) for t in TH.labels]
+        top = max(logs)
+        want = [math.exp(v - top) for v in logs]
+        want = [w / sum(want) for w in want]
+        assert res.measure.weights.tolist() == pytest.approx(want, rel=1e-9)
+        assert 0.0 < min(res.measure.weights)
 
 
 class TestPredictive:
