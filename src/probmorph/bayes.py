@@ -10,25 +10,22 @@ points are reported explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import SchemaError
 from .measures import (
     DEFAULT_TOLERANCE,
-    RATIONAL,
     FiniteMeasure,
     FiniteSpace,
     _freeze,
+    _one_of,
     arrays_equal,
     prob_measure,
     product_space,
     require_same_scalar,
 )
 from .kernels import FiniteKernel, compose, mirror, pushforward
-
-_ZERO_F = Fraction(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +86,6 @@ def predictive_measure(model: BayesModel) -> FiniteMeasure:
     return pushforward(model.sampling, model.prior)
 
 
-def _zero_of(scalar):
-    return _ZERO_F if scalar == RATIONAL else 0.0
-
-
 def disintegrate(mu: FiniteMeasure) -> FiniteKernel:
     """Conditional kernel of the second factor given the first.
 
@@ -110,16 +103,9 @@ def disintegrate(mu: FiniteMeasure) -> FiniteKernel:
     xs, ys = factors
     w = mu.weights.reshape(xs.size, ys.size)
     row_mass = w.sum(axis=1)
-    zero = _zero_of(mu.scalar)
-    rows = np.empty((xs.size, ys.size), dtype=mu.weights.dtype)
-    for i in range(xs.size):
-        if row_mass[i] == zero:
-            if mu.scalar == RATIONAL:
-                rows[i, :] = Fraction(1, ys.size)
-            else:
-                rows[i, :] = 1.0 / ys.size
-        else:
-            rows[i, :] = w[i] / row_mass[i]
+    null = row_mass == 0
+    rows = w / np.where(null, 1, row_mass)[:, None]
+    rows[null] = _one_of(mu.scalar) / ys.size
     return FiniteKernel(xs, ys, _freeze(rows))
 
 
@@ -131,21 +117,15 @@ def bayes_invert(model: BayesModel) -> InversionResult:
     label is listed in ``null_points``.
     """
     prior_w = model.prior.weights
-    like = model.sampling.rows                     # (theta, x)
-    pred = prior_w @ like                          # predictive weights
-    zero = _zero_of(model.scalar)
-    joint_cols = like * prior_w[:, None]           # (theta, x)
-    nulls = []
-    rows = np.empty((model.observations.size, model.parameters.size),
-                    dtype=prior_w.dtype)
-    for j, lab in enumerate(model.observations.labels):
-        if pred[j] == zero:
-            nulls.append(lab)
-            rows[j, :] = prior_w
-        else:
-            rows[j, :] = joint_cols[:, j] / pred[j]
+    joint = model.sampling.rows.T * prior_w        # (x, theta)
+    pred = joint.sum(axis=1)                       # predictive weights
+    null = pred == 0
+    rows = joint / np.where(null, 1, pred)[:, None]
+    rows[null] = prior_w
     kernel = FiniteKernel(model.observations, model.parameters, _freeze(rows))
-    return InversionResult(kernel=kernel, null_points=tuple(nulls))
+    labels = model.observations.labels
+    return InversionResult(kernel=kernel,
+                           null_points=tuple(labels[j] for j in np.flatnonzero(null)))
 
 
 def verify_inversion(model: BayesModel, q: FiniteKernel,
@@ -171,12 +151,8 @@ def ae_equal(t1: FiniteKernel, t2: FiniteKernel, mu: FiniteMeasure,
     if mu.space != t1.source:
         raise SchemaError("reference measure lives on the wrong space")
     scalar = require_same_scalar(t1, t2, mu)
-    zero = _zero_of(scalar)
-    for i in range(t1.source.size):
-        if mu.weights[i] > zero:
-            if not arrays_equal(t1.rows[i], t2.rows[i], scalar, tol):
-                return False
-    return True
+    pos = mu.weights > 0
+    return arrays_equal(t1.rows[pos], t2.rows[pos], scalar, tol)
 
 
 def invert_composition(model: BayesModel, p2: FiniteKernel) -> FiniteKernel:

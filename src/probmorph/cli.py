@@ -31,9 +31,13 @@ from . import serialize as ser
 
 
 def _load_json(path: str, what: str):
+    def refuse(name):
+        raise SchemaError(f"{what} file {path!r} holds the non-finite JSON "
+                          f"constant {name} ({float(name)})")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
     except OSError as e:
         raise SchemaError(f"cannot read {what} file {path!r}: {e}") from None
     except json.JSONDecodeError as e:

@@ -29,13 +29,22 @@ EIG_TOL = 1e-10
 MAX_CONDITION = 1e12
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; NaN and inf entries are refused."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{what} has non-finite entries")
+    return arr
+
+
 def _clean_cov(cov, what: str) -> np.ndarray:
     """Validate and repair a covariance matrix.
 
-    Enforces symmetry within SYMMETRY_TOL, then clamps eigenvalues in
-    [-EIG_TOL, 0) to zero.  Eigenvalues below -EIG_TOL raise.
+    Refuses non-finite entries, enforces symmetry within SYMMETRY_TOL,
+    then clamps eigenvalues in [-EIG_TOL, 0) to zero.  Eigenvalues
+    below -EIG_TOL raise.
     """
-    cov = np.asarray(cov, dtype=np.float64)
+    cov = _finite(cov, what)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise SchemaError(f"{what} must be a square matrix, got {cov.shape}")
     skew = float(np.max(np.abs(cov - cov.T), initial=0.0))
@@ -63,7 +72,7 @@ class GaussianMeasure:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
+        mean = _finite(self.mean, "mean").reshape(-1)
         cov = _clean_cov(self.cov, "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise SchemaError(
@@ -85,10 +94,10 @@ class AffineGaussianMap:
     noise: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
+        A = _finite(self.A, "A")
         if A.ndim != 2:
             raise SchemaError(f"A must be a matrix, got shape {A.shape}")
-        b = np.asarray(self.b, dtype=np.float64).reshape(-1)
+        b = _finite(self.b, "b").reshape(-1)
         noise = _clean_cov(self.noise, "noise covariance")
         if b.shape[0] != A.shape[0] or noise.shape[0] != A.shape[0]:
             raise SchemaError(

@@ -9,9 +9,7 @@ dense array arithmetic, exact on the rational backend.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -19,23 +17,22 @@ import numpy as np
 from .errors import NonProductSpaceError, SchemaError
 from .measures import (
     DEFAULT_TOLERANCE,
-    FLOAT,
-    NEG_WEIGHT_TOL,
-    PROB_SUM_TOL,
     RATIONAL,
     BoundedFunction,
     FiniteMeasure,
     FiniteSpace,
+    _as_float_array,
+    _check_nonnegative,
+    _check_sums_to_one,
     _freeze,
+    _one_of,
+    _scalar_of_dtype,
     arrays_equal,
     as_scalar_array,
     product_space,
     require_same_scalar,
     zeros_like_backend,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -91,17 +88,14 @@ class FiniteKernel:
 
     @property
     def scalar(self) -> str:
-        return FLOAT if self.rows.dtype == np.float64 else RATIONAL
+        return _scalar_of_dtype(self.rows)
 
     def row(self, label) -> FiniteMeasure:
         return FiniteMeasure(self.target,
                              _freeze(self.rows[self.source.index(label)]))
 
     def as_float(self) -> "FiniteKernel":
-        if self.scalar == FLOAT:
-            return self
-        return FiniteKernel(self.source, self.target,
-                            _freeze(self.rows.astype(np.float64)))
+        return FiniteKernel(self.source, self.target, _as_float_array(self.rows))
 
 
 def finite_kernel(source: FiniteSpace, target: FiniteSpace, rows,
@@ -113,27 +107,8 @@ def finite_kernel(source: FiniteSpace, target: FiniteSpace, rows,
     if arr.ndim != 2 or arr.shape != (source.size, target.size):
         raise SchemaError(
             f"expected rows of shape {(source.size, target.size)}, got {arr.shape}")
-    if arr.dtype == np.float64:
-        low = float(arr.min(initial=0.0))
-        if low < -NEG_WEIGHT_TOL:
-            raise SchemaError(f"negative kernel entry {low:.6g}")
-        if low < 0.0:
-            arr = np.where(arr < 0.0, 0.0, arr)
-        sums = arr.sum(axis=1)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if not worst <= PROB_SUM_TOL:         # a NaN or inf entry lands here too
-            if not math.isfinite(worst):
-                raise SchemaError(
-                    f"non-finite kernel row sum {worst}: entries must be finite")
-            raise SchemaError(
-                f"kernel row sums off by {worst:.3g}, outside tolerance {PROB_SUM_TOL}")
-    else:
-        if (arr < _ZERO).any():
-            raise SchemaError("negative kernel entry")
-        sums = arr.sum(axis=1)
-        if (sums != _ONE).any():
-            bad = next(s for s in sums if s != _ONE)
-            raise SchemaError(f"rational kernel row sums to {bad}, not 1")
+    arr = _check_nonnegative(arr, "kernel")
+    _check_sums_to_one(arr.sum(axis=1), "kernel rows")
     return FiniteKernel(source, target, _freeze(arr))
 
 
@@ -148,9 +123,8 @@ def kernels_equal(t1: FiniteKernel, t2: FiniteKernel,
 def dirac_kernel(f: MeasurableMap, scalar: str = RATIONAL) -> FiniteKernel:
     """Embed a deterministic map as a kernel of point masses."""
     rows = zeros_like_backend((f.source.size, f.target.size), scalar)
-    one = _ONE if scalar == RATIONAL else 1.0
-    for i, lab in enumerate(f.assignment):
-        rows[i, f.target.index(lab)] = one
+    cols = [f.target.index(lab) for lab in f.assignment]
+    rows[np.arange(f.source.size), cols] = _one_of(scalar)
     return FiniteKernel(f.source, f.target, _freeze(rows))
 
 
@@ -200,11 +174,10 @@ def graph(t: FiniteKernel) -> FiniteKernel:
     """The kernel x -> delta_x x t(.|x) into source x target, i.e. the
     join of the identity with t."""
     n, m = t.source.size, t.target.size
-    rows = zeros_like_backend((n, n * m), t.scalar)
-    for i in range(n):
-        rows[i, i * m:(i + 1) * m] = t.rows[i]
+    rows = zeros_like_backend((n, n, m), t.scalar)
+    rows[np.arange(n), np.arange(n)] = t.rows          # block (x, x) is t(.|x)
     return FiniteKernel(t.source, product_space([t.source, t.target]),
-                        _freeze(rows))
+                        _freeze(rows.reshape(n, n * m)))
 
 
 def mirror(m: FiniteMeasure) -> FiniteMeasure:
@@ -229,9 +202,9 @@ def marginal(m: FiniteMeasure, axis: int) -> FiniteMeasure:
 
 def product_kernel(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
     """The kernel t1 x t2 on the product of the sources, acting
-    factorwise.  Built from joins of projection precompositions."""
-    src = product_space([t1.source, t2.source])
+    factorwise: row (x1, x2) is the product measure t1(.|x1) x t2(.|x2)."""
     require_same_scalar(t1, t2)
-    p1 = dirac_kernel(projection_map(src, 0), t1.scalar)
-    p2 = dirac_kernel(projection_map(src, 1), t2.scalar)
-    return join(compose(p1, t1), compose(p2, t2))
+    rows = t1.rows[:, None, :, None] * t2.rows[None, :, None, :]
+    return FiniteKernel(product_space([t1.source, t2.source]),
+                        product_space([t1.target, t2.target]),
+                        _freeze(rows.reshape(t1.source.size * t2.source.size, -1)))

@@ -5,6 +5,12 @@ one code path: float64 arrays ("float") and object arrays holding
 ``fractions.Fraction`` ("rational").  Rational arithmetic is exact;
 float arithmetic uses the tolerances below.  The two backends are never
 mixed implicitly; convert with ``as_float``.
+
+Everything that differs between the backends lives in this module: the
+backend values (``zeros_like_backend``, ``_one_of``), equality
+(``arrays_equal``) and the validation of nonnegative and probability
+weights.  Elsewhere comparing with the Python ints 0 and 1 is exact on
+both backends.
 """
 
 from __future__ import annotations
@@ -35,10 +41,6 @@ PROB_SUM_TOL = 1e-9
 NEG_WEIGHT_TOL = 1e-12
 # Default comparison tolerance for float-backed equality checks.
 DEFAULT_TOLERANCE = 1e-9
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class FiniteSpace:
@@ -138,6 +140,9 @@ def _to_fraction(x) -> Fraction:
         "pass ints, Fractions, or 'p/q' strings, or use scalar='float'")
 
 
+_fractions = np.frompyfunc(_to_fraction, 1, 1)
+
+
 def as_scalar_array(values, scalar: str | None = None) -> np.ndarray:
     """Coerce ``values`` to a 1-D or 2-D backend array.
 
@@ -164,19 +169,22 @@ def as_scalar_array(values, scalar: str | None = None) -> np.ndarray:
         except (TypeError, ValueError) as e:
             raise SchemaError(f"cannot coerce values to float64: {e}") from None
     if scalar == RATIONAL:
-        arr = np.asarray(values, dtype=object)
-        out = np.empty(arr.shape, dtype=object)
-        it = np.nditer(arr, flags=["multi_index", "refs_ok"])
-        for v in it:
-            out[it.multi_index] = _to_fraction(v.item())
-        return out
+        return np.asarray(_fractions(np.asarray(values, dtype=object)), dtype=object)
     raise SchemaError(f"unknown scalar backend {scalar!r}")
 
 
 def zeros_like_backend(shape, scalar: str) -> np.ndarray:
     if scalar == FLOAT:
         return np.zeros(shape, dtype=np.float64)
-    return np.full(shape, _ZERO, dtype=object)
+    return np.full(shape, Fraction(0), dtype=object)
+
+
+def _one_of(scalar: str):
+    return Fraction(1) if scalar == RATIONAL else 1.0
+
+
+def _as_float_array(arr: np.ndarray) -> np.ndarray:
+    return arr if arr.dtype == np.float64 else _freeze(arr.astype(np.float64))
 
 
 def require_same_scalar(*objs) -> str:
@@ -204,6 +212,37 @@ def arrays_equal(a: np.ndarray, b: np.ndarray, scalar: str,
     return bool(np.max(np.abs(a - b), initial=0.0) <= tol)
 
 
+def _check_nonnegative(arr: np.ndarray, what: str) -> np.ndarray:
+    """Refuse negative entries and non-finite floats.  Float entries in
+    [-NEG_WEIGHT_TOL, 0) are rounding noise: the returned array has
+    them clamped to 0."""
+    if arr.dtype != np.float64:
+        if (arr < 0).any():
+            raise SchemaError(f"negative weight in a {what}")
+        return arr
+    total = float(arr.sum())               # NaN and inf propagate into the sum
+    if not math.isfinite(total):
+        raise SchemaError(f"non-finite total weight {total} in a {what}")
+    low = float(arr.min(initial=0.0))
+    if low < -NEG_WEIGHT_TOL:
+        raise SchemaError(f"negative weight {low:.6g} in a {what}")
+    return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
+
+
+def _check_sums_to_one(sums: np.ndarray, what: str) -> None:
+    """Every sum must be 1: exactly on the rational backend, within
+    PROB_SUM_TOL on the float backend."""
+    if sums.dtype != np.float64:
+        off = sums[sums != 1]
+        if off.size:
+            raise SchemaError(f"rational {what} must sum to 1, got {off[0]}")
+        return
+    worst = float(np.max(np.abs(sums - 1.0)))
+    if not worst <= PROB_SUM_TOL:
+        raise SchemaError(f"float {what} must sum to 1, off by {worst:.3g} "
+                          f"(tolerance {PROB_SUM_TOL})")
+
+
 # ---------------------------------------------------------------------------
 # measures
 
@@ -229,22 +268,17 @@ class FiniteMeasure:
         return self.weights.sum()
 
     def is_nonnegative(self) -> bool:
-        if self.scalar == RATIONAL:
-            return bool((self.weights >= _ZERO).all())
-        return bool((self.weights >= 0.0).all())
+        return bool((self.weights >= 0).all())
 
     def is_probability(self, tol: float = PROB_SUM_TOL) -> bool:
         if not self.is_nonnegative():
             return False
         if self.scalar == RATIONAL:
-            return self.total() == _ONE
+            return self.total() == 1
         return abs(float(self.total()) - 1.0) <= tol
 
     def as_float(self) -> "FiniteMeasure":
-        if self.scalar == FLOAT:
-            return self
-        return FiniteMeasure(self.space,
-                             _freeze(self.weights.astype(np.float64)))
+        return FiniteMeasure(self.space, _as_float_array(self.weights))
 
 
 def signed_measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
@@ -259,49 +293,26 @@ def measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMea
     """A nonnegative measure.  Float weights must be finite; those in
     [-1e-12, 0) are clamped to 0."""
     m = signed_measure(space, weights, scalar)
-    arr = m.weights
-    if m.scalar == FLOAT:
-        total = float(arr.sum())           # NaN and inf propagate into the sum
-        if not math.isfinite(total):
-            raise SchemaError(f"non-finite total weight {total} in a measure")
-        low = float(arr.min(initial=0.0))
-        if low < -NEG_WEIGHT_TOL:
-            raise SchemaError(f"negative weight {low:.6g} in a measure")
-        if low < 0.0:
-            arr = _freeze(np.where(arr < 0.0, 0.0, arr))
-            m = FiniteMeasure(m.space, arr)
-    elif not m.is_nonnegative():
-        raise SchemaError("negative weight in a measure")
-    return m
+    arr = _check_nonnegative(m.weights, "measure")
+    return m if arr is m.weights else FiniteMeasure(space, _freeze(arr))
 
 
 def prob_measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
     """A probability measure.  Rational weights must sum to 1 exactly;
     float weights must sum to 1 within 1e-9."""
     m = measure(space, weights, scalar)
-    if m.scalar == RATIONAL:
-        if m.total() != _ONE:
-            raise SchemaError(f"rational weights sum to {m.total()}, not 1")
-    else:
-        err = abs(float(m.total()) - 1.0)
-        if err > PROB_SUM_TOL:
-            raise SchemaError(
-                f"float weights sum to 1{err:+.3g}, outside tolerance {PROB_SUM_TOL}")
+    _check_sums_to_one(m.weights.sum(keepdims=True), "measure weights")
     return m
 
 
 def dirac_measure(space: FiniteSpace, label, scalar: str = RATIONAL) -> FiniteMeasure:
     w = zeros_like_backend(space.size, scalar)
-    w[space.index(label)] = _ONE if scalar == RATIONAL else 1.0
+    w[space.index(label)] = _one_of(scalar)
     return FiniteMeasure(space, _freeze(w))
 
 
 def uniform_measure(space: FiniteSpace, scalar: str = RATIONAL) -> FiniteMeasure:
-    n = space.size
-    if scalar == RATIONAL:
-        w = np.full(n, Fraction(1, n), dtype=object)
-    else:
-        w = np.full(n, 1.0 / n)
+    w = np.full(space.size, _one_of(scalar) / space.size)
     return FiniteMeasure(space, _freeze(w))
 
 
@@ -335,9 +346,7 @@ class BoundedFunction:
         return np.max(np.abs(self.values))
 
     def as_float(self) -> "BoundedFunction":
-        if self.scalar == FLOAT:
-            return self
-        return BoundedFunction(self.space, _freeze(self.values.astype(np.float64)))
+        return BoundedFunction(self.space, _as_float_array(self.values))
 
 
 def bounded_function(space: FiniteSpace, values, scalar: str | None = None) -> BoundedFunction:
@@ -455,13 +464,11 @@ def radon_nikodym(nu: FiniteMeasure, mu: FiniteMeasure) -> BoundedFunction:
     """
     if nu.space != mu.space:
         raise SchemaError("measures live on different spaces")
-    scalar = require_same_scalar(nu, mu)
-    zero = _ZERO if scalar == RATIONAL else 0.0
-    vals = zeros_like_backend(mu.space.size, scalar)
-    for i, lab in enumerate(mu.space.labels):
-        if mu.weights[i] == zero:
-            if nu.weights[i] != zero:
-                raise NotAbsolutelyContinuousError(witness=lab)
-        else:
-            vals[i] = nu.weights[i] / mu.weights[i]
+    require_same_scalar(nu, mu)
+    null = mu.weights == 0
+    witness = np.flatnonzero(null & (nu.weights != 0))
+    if witness.size:
+        raise NotAbsolutelyContinuousError(witness=mu.space.labels[witness[0]])
+    # nu vanishes on the null points, so dividing by 1 there gives the 0.
+    vals = nu.weights / np.where(null, 1, mu.weights)
     return BoundedFunction(mu.space, _freeze(vals))

@@ -207,3 +207,91 @@ class TestInvertComposition:
         direct = bayes_invert(
             BayesModel(prior=PRIOR, sampling=pm.compose(SAMPLING, p2))).kernel
         assert kernels_equal(chained, direct)
+
+
+def _null_heavy_model(seed):
+    """A random rational model with zero prior points and at least one
+    observation column that no parameter reaches."""
+    from probmorph.laws import random_kernel, random_prob
+    rng = np.random.default_rng(seed)
+    th = FiniteSpace(tuple(f"t{i}" for i in range(int(rng.integers(2, 6)))))
+    xs = FiniteSpace(tuple(f"x{j}" for j in range(int(rng.integers(2, 6)))))
+    prior = random_prob(rng, th, "rational", allow_zero=True)
+    rows = random_kernel(rng, th, xs, "rational", allow_zero=True).rows.copy()
+    dead = int(rng.integers(0, xs.size))
+    for i in range(th.size):
+        mass, rows[i, dead] = rows[i, dead], F(0)
+        rows[i, (dead + 1) % xs.size] += mass
+    return BayesModel(prior=prior, sampling=finite_kernel(th, xs, rows)), rng
+
+
+def _all_fractions(arr):
+    return all(isinstance(v, F) for v in arr.flat)
+
+
+class TestNullMasksAgainstHandFormulas:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_bayes_invert(self, seed):
+        model, _ = _null_heavy_model(seed)
+        p, s = model.prior.weights, model.sampling.rows
+        inv = bayes_invert(model)
+        nulls = []
+        for j, x in enumerate(model.observations.labels):
+            pred = sum(s[i, j] * p[i] for i in range(len(p)))
+            if pred == 0:
+                nulls.append(x)
+                want = list(p)
+            else:
+                want = [s[i, j] * p[i] / pred for i in range(len(p))]
+            assert list(inv.kernel.rows[j]) == want
+        assert inv.null_points == tuple(nulls) and nulls
+        assert _all_fractions(inv.kernel.rows)
+        # float entries are at most 1 and carry a few roundings each
+        finv = bayes_invert(model.as_float())
+        assert finv.null_points == inv.null_points
+        err = np.max(np.abs(finv.kernel.rows - inv.kernel.rows.astype(float)))
+        assert err <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_disintegrate(self, seed):
+        model, _ = _null_heavy_model(seed)
+        mu = joint_measure(model)
+        cond = disintegrate(mu)
+        w = mu.weights.reshape(model.parameters.size, model.observations.size)
+        for i in range(w.shape[0]):
+            mass = sum(w[i])
+            want = ([F(1, w.shape[1])] * w.shape[1] if mass == 0
+                    else [v / mass for v in w[i]])
+            assert list(cond.rows[i]) == want
+        assert _all_fractions(cond.rows)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_radon_nikodym(self, seed):
+        model, rng = _null_heavy_model(seed)
+        mu = predictive_measure(model)
+        scale = [F(int(k), 7) for k in rng.integers(0, 8, size=mu.space.size)]
+        nu = pm.measure(mu.space, [a * b for a, b in zip(scale, mu.weights)])
+        dens = pm.radon_nikodym(nu, mu)
+        want = [n / m if m != 0 else F(0) for n, m in zip(nu.weights, mu.weights)]
+        assert list(dens.values) == want
+        assert _all_fractions(dens.values)
+        j = next(j for j, m in enumerate(mu.weights) if m == 0)
+        bad = nu.weights.copy()
+        bad[j] = F(1, 3)
+        with pytest.raises(pm.NotAbsolutelyContinuousError) as err:
+            pm.radon_nikodym(pm.measure(mu.space, bad), mu)
+        assert err.value.witness == mu.space.labels[j]
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_ae_equal(self, seed):
+        model, rng = _null_heavy_model(seed)
+        t, mu = model.sampling, model.prior
+        uniform = [F(1, t.target.size)] * t.target.size
+        for row in range(t.source.size):
+            rows = t.rows.copy()
+            rows[row] = uniform
+            other = finite_kernel(t.source, t.target, rows)
+            want = all(list(t.rows[i]) == list(other.rows[i])
+                       for i in range(t.source.size) if mu.weights[i] > 0)
+            assert ae_equal(t, other, mu) == want
+        assert ae_equal(t, t, mu)

@@ -89,6 +89,26 @@ class TestInvert:
         assert "non-finite" in err["error"]["message"]
         assert "nan" in err["error"]["message"]
 
+    @pytest.mark.parametrize("field, constant", [("label", "NaN"),
+                                                 ("prior weight", "Infinity")])
+    def test_non_finite_json_constants_exit_2(self, tmp_path, capsys, field, constant):
+        if field == "label":
+            model = {"prior": MODEL["prior"],
+                     "sampling": dict(MODEL["sampling"], target=[float("nan"), 1.5])}
+        else:
+            model = {"prior": {"labels": ["t1", "t2"], "weights": [float("inf"), 0.5],
+                               "scalar": "float"},
+                     "sampling": MODEL["sampling"]}
+        inp = write_json(tmp_path / "model.json", model)
+        assert constant in (tmp_path / "model.json").read_text()
+        assert main(["invert", "--input", inp]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["type"] == "SchemaError"
+        assert f"non-finite JSON constant {constant}" in err["error"]["message"]
+        assert inp in err["error"]["message"]
+
     def test_control_character_labels_give_valid_json(self, tmp_path, capsys):
         model = {"prior": MODEL["prior"],
                  "sampling": dict(MODEL["sampling"],

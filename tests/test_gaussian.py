@@ -2,6 +2,7 @@
 cross-checks against the finite machinery on discretization grids."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ class TestCovarianceValidation:
     def test_map_noise_gets_the_same_policy(self):
         with pytest.raises(NotPSDError):
             AffineGaussianMap([[1.0]], [0.0], [[-1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["mean", "cov", "A", "b", "noise"])
+    def test_non_finite_entries_are_refused(self, field, bad):
+        args = {"mean": [0.0], "cov": [[1.0]], "A": [[1.0]], "b": [0.0],
+                "noise": [[1.0]]}
+        args[field] = np.full_like(np.asarray(args[field]), bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")           # refused, not warned about
+            with pytest.raises(SchemaError, match="non-finite"):
+                if field in ("mean", "cov"):
+                    GaussianMeasure(args["mean"], args["cov"])
+                else:
+                    AffineGaussianMap(args["A"], args["b"], args["noise"])
 
 
 class TestClosedForms:

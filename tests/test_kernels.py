@@ -214,3 +214,51 @@ class TestFloatBackendAgreesWithRational:
         exact = compose(k1, k2).as_float()
         approx = compose(k1.as_float(), k2.as_float())
         assert np.max(np.abs(exact.rows - approx.rows)) < 1e-12
+
+
+def _dirac_route_product_kernel(t1, t2):
+    """product_kernel as joins of projection precompositions: the dense
+    route the broadcast outer product replaced."""
+    src = pm.product_space([t1.source, t2.source])
+    p1 = dirac_kernel(projection_map(src, 0), t1.scalar)
+    p2 = dirac_kernel(projection_map(src, 1), t2.scalar)
+    return join(compose(p1, t1), compose(p2, t2))
+
+
+def _same_rows(a, b):
+    """Exact on the rational backend (every entry a Fraction), bit for
+    bit on the float backend."""
+    if a.source != b.source or a.target != b.target or a.rows.dtype != b.rows.dtype:
+        return False
+    if a.scalar == "float":
+        return a.rows.tobytes() == b.rows.tobytes()
+    return (all(isinstance(v, F) for v in a.rows.flat)
+            and bool(np.equal(a.rows, b.rows).all()))
+
+
+class TestBroadcastMatchesCompositionRoutes:
+    @pytest.mark.parametrize("scalar", ["rational", "float"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_product_kernel_equals_the_dirac_projection_route(self, scalar, seed):
+        from probmorph.laws import random_kernel, random_space
+        rng = np.random.default_rng(seed)
+        xs, ys = random_space(rng, 4, "x"), random_space(rng, 4, "y")
+        zs, ws = random_space(rng, 4, "z"), random_space(rng, 4, "w")
+        t1 = random_kernel(rng, xs, ys, scalar, allow_zero=True)
+        t2 = random_kernel(rng, zs, ws, scalar, allow_zero=True)
+        assert _same_rows(product_kernel(t1, t2), _dirac_route_product_kernel(t1, t2))
+
+    @pytest.mark.parametrize("scalar", ["rational", "float"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_graph_equals_the_join_with_the_identity(self, scalar, seed):
+        from probmorph.laws import random_kernel, random_space
+        rng = np.random.default_rng(seed)
+        xs, ys = random_space(rng, 5, "x"), random_space(rng, 5, "y")
+        t = random_kernel(rng, xs, ys, scalar, allow_zero=True)
+        assert _same_rows(graph(t), join(identity_kernel(xs, scalar), t))
+
+    def test_dirac_kernel_rows_are_fraction_point_masses(self):
+        w = FiniteSpace(("w0", "w1", "w2"))
+        dk = dirac_kernel(MeasurableMap(w, X, ("x1", "x0", "x1")))
+        assert [list(r) for r in dk.rows] == [[F(0), F(1)], [F(1), F(0)], [F(0), F(1)]]
+        assert all(isinstance(v, F) for v in dk.rows.flat)
