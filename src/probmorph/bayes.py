@@ -18,7 +18,6 @@ from .measures import (
     DEFAULT_TOLERANCE,
     FiniteMeasure,
     FiniteSpace,
-    _freeze,
     _one_of,
     arrays_equal,
     prob_measure,
@@ -73,7 +72,7 @@ def _graph_pushforward(t: FiniteKernel, m: FiniteMeasure) -> FiniteMeasure:
     source x target, without building the graph's dense rows."""
     require_same_scalar(t, m)
     w = (m.weights[:, None] * t.rows).reshape(-1)
-    return FiniteMeasure(product_space([t.source, t.target]), _freeze(w))
+    return FiniteMeasure(product_space([t.source, t.target]), w)
 
 
 def joint_measure(model: BayesModel) -> FiniteMeasure:
@@ -106,7 +105,7 @@ def disintegrate(mu: FiniteMeasure) -> FiniteKernel:
     null = row_mass == 0
     rows = w / np.where(null, 1, row_mass)[:, None]
     rows[null] = _one_of(mu.scalar) / ys.size
-    return FiniteKernel(xs, ys, _freeze(rows))
+    return FiniteKernel(xs, ys, rows)
 
 
 def bayes_invert(model: BayesModel) -> InversionResult:
@@ -122,7 +121,7 @@ def bayes_invert(model: BayesModel) -> InversionResult:
     null = pred == 0
     rows = joint / np.where(null, 1, pred)[:, None]
     rows[null] = prior_w
-    kernel = FiniteKernel(model.observations, model.parameters, _freeze(rows))
+    kernel = FiniteKernel(model.observations, model.parameters, rows)
     labels = model.observations.labels
     return InversionResult(kernel=kernel,
                            null_points=tuple(labels[j] for j in np.flatnonzero(null)))

@@ -40,7 +40,7 @@ def _load_json(path: str, what: str):
             return json.load(fh, parse_constant=refuse)
     except OSError as e:
         raise SchemaError(f"cannot read {what} file {path!r}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:         # bad JSON, or an int over the int/str limit
         raise SchemaError(f"{what} file {path!r} is not valid JSON: {e}") from None
 
 

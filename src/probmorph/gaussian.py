@@ -30,8 +30,9 @@ MAX_CONDITION = 1e12
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array; NaN and inf entries are refused."""
-    arr = np.asarray(values, dtype=np.float64)
+    """``values`` as a new float64 array (the constructors freeze it);
+    NaN and inf entries are refused."""
+    arr = np.array(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise SchemaError(f"{what} has non-finite entries")
     return arr
@@ -188,17 +189,15 @@ def _condition(K: np.ndarray) -> float:
     return math.inf if lo == 0.0 else float(mags.max()) / lo
 
 
-def _checked_solve(K: np.ndarray, rhs: np.ndarray,
-                   max_condition: float) -> np.ndarray:
+def _checked_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cond = _condition(K)
-    if not math.isfinite(cond) or cond > max_condition:
+    if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise SingularMatrixError(condition=cond)
     return np.linalg.solve(K, rhs)
 
 
 def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure,
-                 jitter: float = 0.0,
-                 max_condition: float = MAX_CONDITION) -> AffineGaussianMap:
+                 jitter: float = 0.0) -> AffineGaussianMap:
     """Bayesian inversion: the map y -> posterior N over the input.
 
     With prior N(m, S) and observation y of N(Ax + b, noise), the
@@ -216,7 +215,7 @@ def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure,
     K = A @ S @ A.T + t.noise
     if jitter > 0.0:
         K = K + jitter * np.eye(K.shape[0])
-    G = _checked_solve(K, A @ S, max_condition).T     # S A' K^-1
+    G = _checked_solve(K, A @ S).T     # S A' K^-1
     post_A = G
     post_b = prior.mean - G @ (A @ prior.mean + t.b)
     post_cov = S - G @ A @ S
@@ -224,8 +223,7 @@ def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure,
 
 
 def gauss_condition(joint: GaussianMeasure, head_dim: int, y,
-                    jitter: float = 0.0,
-                    max_condition: float = MAX_CONDITION) -> GaussianMeasure:
+                    jitter: float = 0.0) -> GaussianMeasure:
     """Condition a joint N on its tail block taking the value y,
     returning the head-block conditional.
 
@@ -239,8 +237,7 @@ def gauss_condition(joint: GaussianMeasure, head_dim: int, y,
         np.hstack([np.zeros((tail_dim, head_dim)), np.eye(tail_dim)]),
         np.zeros(tail_dim),
         np.zeros((tail_dim, tail_dim)))
-    post = gauss_invert(proj, joint, jitter=jitter,
-                        max_condition=max_condition).at(y)
+    post = gauss_invert(proj, joint, jitter=jitter).at(y)
     return gauss_marginal(post, range(head_dim))
 
 

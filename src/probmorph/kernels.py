@@ -86,13 +86,19 @@ class FiniteKernel:
     target: FiniteSpace
     rows: np.ndarray
 
+    def __post_init__(self):
+        shape = getattr(self.rows, "shape", None)
+        if shape != (self.source.size, self.target.size):
+            raise SchemaError(f"expected rows of shape "
+                              f"{(self.source.size, self.target.size)}, got {shape}")
+        _freeze(self.rows)
+
     @property
     def scalar(self) -> str:
         return _scalar_of_dtype(self.rows)
 
     def row(self, label) -> FiniteMeasure:
-        return FiniteMeasure(self.target,
-                             _freeze(self.rows[self.source.index(label)]))
+        return FiniteMeasure(self.target, self.rows[self.source.index(label)])
 
     def as_float(self) -> "FiniteKernel":
         return FiniteKernel(self.source, self.target, _as_float_array(self.rows))
@@ -103,13 +109,10 @@ def finite_kernel(source: FiniteSpace, target: FiniteSpace, rows,
     """Validate and build a kernel.  Every row must be a probability
     vector: exactly on the rational backend, within the float
     tolerances otherwise (tiny negatives clamped)."""
-    arr = as_scalar_array(rows, scalar)
-    if arr.ndim != 2 or arr.shape != (source.size, target.size):
-        raise SchemaError(
-            f"expected rows of shape {(source.size, target.size)}, got {arr.shape}")
-    arr = _check_nonnegative(arr, "kernel")
+    t = FiniteKernel(source, target, as_scalar_array(rows, scalar))
+    arr = _check_nonnegative(t.rows, "kernel")
     _check_sums_to_one(arr.sum(axis=1), "kernel rows")
-    return FiniteKernel(source, target, _freeze(arr))
+    return t if arr is t.rows else FiniteKernel(source, target, arr)
 
 
 def kernels_equal(t1: FiniteKernel, t2: FiniteKernel,
@@ -125,7 +128,7 @@ def dirac_kernel(f: MeasurableMap, scalar: str = RATIONAL) -> FiniteKernel:
     rows = zeros_like_backend((f.source.size, f.target.size), scalar)
     cols = [f.target.index(lab) for lab in f.assignment]
     rows[np.arange(f.source.size), cols] = _one_of(scalar)
-    return FiniteKernel(f.source, f.target, _freeze(rows))
+    return FiniteKernel(f.source, f.target, rows)
 
 
 def identity_kernel(space: FiniteSpace, scalar: str = RATIONAL) -> FiniteKernel:
@@ -137,7 +140,7 @@ def compose(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
     if t1.target != t2.source:
         raise SchemaError("kernels do not compose: target/source mismatch")
     require_same_scalar(t1, t2)
-    return FiniteKernel(t1.source, t2.target, _freeze(t1.rows @ t2.rows))
+    return FiniteKernel(t1.source, t2.target, t1.rows @ t2.rows)
 
 
 def pushforward(t: FiniteKernel, m: FiniteMeasure) -> FiniteMeasure:
@@ -146,7 +149,7 @@ def pushforward(t: FiniteKernel, m: FiniteMeasure) -> FiniteMeasure:
     if m.space != t.source:
         raise SchemaError("measure lives on the wrong space for this kernel")
     require_same_scalar(t, m)
-    return FiniteMeasure(t.target, _freeze(m.weights @ t.rows))
+    return FiniteMeasure(t.target, m.weights @ t.rows)
 
 
 def pullback(t: FiniteKernel, g: BoundedFunction) -> BoundedFunction:
@@ -156,7 +159,7 @@ def pullback(t: FiniteKernel, g: BoundedFunction) -> BoundedFunction:
     if g.space != t.target:
         raise SchemaError("function lives on the wrong space for this kernel")
     require_same_scalar(t, g)
-    return BoundedFunction(t.source, _freeze(t.rows @ g.values))
+    return BoundedFunction(t.source, t.rows @ g.values)
 
 
 def join(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
@@ -167,7 +170,7 @@ def join(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
     require_same_scalar(t1, t2)
     target = product_space([t1.target, t2.target])
     rows = (t1.rows[:, :, None] * t2.rows[:, None, :]).reshape(t1.source.size, -1)
-    return FiniteKernel(t1.source, target, _freeze(rows))
+    return FiniteKernel(t1.source, target, rows)
 
 
 def graph(t: FiniteKernel) -> FiniteKernel:
@@ -177,7 +180,7 @@ def graph(t: FiniteKernel) -> FiniteKernel:
     rows = zeros_like_backend((n, n, m), t.scalar)
     rows[np.arange(n), np.arange(n)] = t.rows          # block (x, x) is t(.|x)
     return FiniteKernel(t.source, product_space([t.source, t.target]),
-                        _freeze(rows.reshape(n, n * m)))
+                        rows.reshape(n, n * m))
 
 
 def mirror(m: FiniteMeasure) -> FiniteMeasure:
@@ -187,7 +190,7 @@ def mirror(m: FiniteMeasure) -> FiniteMeasure:
         raise NonProductSpaceError("mirror needs exactly two factors")
     a, b = factors
     w = m.weights.reshape(a.size, b.size).T.reshape(-1)
-    return FiniteMeasure(product_space([b, a]), _freeze(w))
+    return FiniteMeasure(product_space([b, a]), w)
 
 
 def marginal(m: FiniteMeasure, axis: int) -> FiniteMeasure:
@@ -197,7 +200,7 @@ def marginal(m: FiniteMeasure, axis: int) -> FiniteMeasure:
         raise SchemaError(f"axis {axis} out of range for {len(factors)} factors")
     shaped = m.weights.reshape(tuple(f.size for f in factors))
     other = tuple(i for i in range(len(factors)) if i != axis)
-    return FiniteMeasure(factors[axis], _freeze(shaped.sum(axis=other)))
+    return FiniteMeasure(factors[axis], shaped.sum(axis=other))
 
 
 def product_kernel(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
@@ -207,4 +210,4 @@ def product_kernel(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
     rows = t1.rows[:, None, :, None] * t2.rows[None, :, None, :]
     return FiniteKernel(product_space([t1.source, t2.source]),
                         product_space([t1.target, t2.target]),
-                        _freeze(rows.reshape(t1.source.size * t2.source.size, -1)))
+                        rows.reshape(t1.source.size * t2.source.size, -1))

@@ -147,18 +147,17 @@ def as_scalar_array(values, scalar: str | None = None) -> np.ndarray:
     """Coerce ``values`` to a 1-D or 2-D backend array.
 
     With ``scalar=None`` the backend is inferred: any float present
-    selects the float backend, otherwise the rational one.
+    selects the float backend, otherwise the rational one.  The value
+    classes freeze their arrays in place, so a caller's array is copied
+    unless it is already read-only and owns its data.
     """
-    if isinstance(values, np.ndarray) and scalar is None:
-        if values.dtype == np.float64:
-            return values
-        if values.dtype == object:
-            flat = values.ravel()
-            if all(isinstance(v, Fraction) for v in flat):
-                return values
-            values = values.tolist()
-        else:
-            values = values.tolist()
+    if isinstance(values, np.ndarray):
+        if (values.dtype == np.float64 and scalar in (None, FLOAT)
+                or values.dtype == object and scalar in (None, RATIONAL)
+                and all(isinstance(v, Fraction) for v in values.flat)):
+            frozen = not values.flags.writeable and values.flags.owndata
+            return values if frozen else values.copy()
+        values = values.tolist()
     if scalar is None:
         flat = np.asarray(values, dtype=object).ravel()
         has_float = any(isinstance(v, (float, np.floating)) for v in flat)
@@ -184,7 +183,7 @@ def _one_of(scalar: str):
 
 
 def _as_float_array(arr: np.ndarray) -> np.ndarray:
-    return arr if arr.dtype == np.float64 else _freeze(arr.astype(np.float64))
+    return arr if arr.dtype == np.float64 else arr.astype(np.float64)
 
 
 def require_same_scalar(*objs) -> str:
@@ -196,7 +195,8 @@ def require_same_scalar(*objs) -> str:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy() if not arr.flags.owndata or arr.flags.writeable else arr
+    """Make ``arr`` read-only in place.  Only the value classes call
+    this, on arrays they own (see ``as_scalar_array``)."""
     arr.setflags(write=False)
     return arr
 
@@ -257,6 +257,12 @@ class FiniteMeasure:
     space: FiniteSpace
     weights: np.ndarray
 
+    def __post_init__(self):
+        shape = getattr(self.weights, "shape", None)
+        if shape != (self.space.size,):
+            raise SchemaError(f"expected {self.space.size} weights, got shape {shape}")
+        _freeze(self.weights)
+
     @property
     def scalar(self) -> str:
         return _scalar_of_dtype(self.weights)
@@ -282,11 +288,7 @@ class FiniteMeasure:
 
 
 def signed_measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
-    arr = as_scalar_array(weights, scalar)
-    if arr.ndim != 1 or arr.shape[0] != space.size:
-        raise SchemaError(
-            f"expected {space.size} weights, got shape {arr.shape}")
-    return FiniteMeasure(space, _freeze(arr))
+    return FiniteMeasure(space, as_scalar_array(weights, scalar))
 
 
 def measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
@@ -294,7 +296,7 @@ def measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMea
     [-1e-12, 0) are clamped to 0."""
     m = signed_measure(space, weights, scalar)
     arr = _check_nonnegative(m.weights, "measure")
-    return m if arr is m.weights else FiniteMeasure(space, _freeze(arr))
+    return m if arr is m.weights else FiniteMeasure(space, arr)
 
 
 def prob_measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
@@ -308,12 +310,12 @@ def prob_measure(space: FiniteSpace, weights, scalar: str | None = None) -> Fini
 def dirac_measure(space: FiniteSpace, label, scalar: str = RATIONAL) -> FiniteMeasure:
     w = zeros_like_backend(space.size, scalar)
     w[space.index(label)] = _one_of(scalar)
-    return FiniteMeasure(space, _freeze(w))
+    return FiniteMeasure(space, w)
 
 
 def uniform_measure(space: FiniteSpace, scalar: str = RATIONAL) -> FiniteMeasure:
     w = np.full(space.size, _one_of(scalar) / space.size)
-    return FiniteMeasure(space, _freeze(w))
+    return FiniteMeasure(space, w)
 
 
 def measures_equal(m1: FiniteMeasure, m2: FiniteMeasure,
@@ -335,6 +337,12 @@ class BoundedFunction:
     space: FiniteSpace
     values: np.ndarray
 
+    def __post_init__(self):
+        shape = getattr(self.values, "shape", None)
+        if shape != (self.space.size,):
+            raise SchemaError(f"expected {self.space.size} values, got shape {shape}")
+        _freeze(self.values)
+
     @property
     def scalar(self) -> str:
         return _scalar_of_dtype(self.values)
@@ -350,11 +358,7 @@ class BoundedFunction:
 
 
 def bounded_function(space: FiniteSpace, values, scalar: str | None = None) -> BoundedFunction:
-    arr = as_scalar_array(values, scalar)
-    if arr.ndim != 1 or arr.shape[0] != space.size:
-        raise SchemaError(
-            f"expected {space.size} values, got shape {arr.shape}")
-    return BoundedFunction(space, _freeze(arr))
+    return BoundedFunction(space, as_scalar_array(values, scalar))
 
 
 def constant_function(space: FiniteSpace, value, scalar: str | None = None) -> BoundedFunction:
@@ -407,7 +411,7 @@ def product_measure(ms: Sequence[FiniteMeasure]) -> FiniteMeasure:
     w = ms[0].weights
     for m in ms[1:]:
         w = (w[:, None] * m.weights[None, :]).reshape(-1)
-    return FiniteMeasure(space, _freeze(w))
+    return FiniteMeasure(space, w)
 
 
 def _lattice_shape(space: FiniteSpace):
@@ -452,7 +456,7 @@ def convolve(m1: FiniteMeasure, m2: FiniteMeasure) -> FiniteMeasure:
     labels = tuple(sorted(acc))
     space = FiniteSpace(labels)
     w = as_scalar_array([acc[l] for l in labels], scalar)
-    return FiniteMeasure(space, _freeze(w))
+    return FiniteMeasure(space, w)
 
 
 def radon_nikodym(nu: FiniteMeasure, mu: FiniteMeasure) -> BoundedFunction:
@@ -471,4 +475,4 @@ def radon_nikodym(nu: FiniteMeasure, mu: FiniteMeasure) -> BoundedFunction:
         raise NotAbsolutelyContinuousError(witness=mu.space.labels[witness[0]])
     # nu vanishes on the null points, so dividing by 1 there gives the 0.
     vals = nu.weights / np.where(null, 1, mu.weights)
-    return BoundedFunction(mu.space, _freeze(vals))
+    return BoundedFunction(mu.space, vals)

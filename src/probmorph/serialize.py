@@ -1,17 +1,18 @@
 """JSON and CSV interchange for spaces, measures, kernels and models.
 
 Rational scalars travel as "p/q" strings, floats as JSON numbers.
-``dumps_canonical`` emits a canonical encoding (sorted keys, floats
-printed with 17 significant digits, which round-trips float64 exactly),
-so identical inputs always produce byte-identical artifacts.
+``dumps_canonical`` emits a canonical encoding (sorted keys, shortest
+round-trip floats, so ``1.0`` prints as ``1.0`` and reads back as a
+float), so identical inputs always produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import sys
 from fractions import Fraction
-from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -40,57 +41,51 @@ from .supervised import (
 # ---------------------------------------------------------------------------
 # canonical JSON text
 
-def _write(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, Fraction):
-        out.append(f'"{obj}"')
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise SchemaError("cannot serialize non-finite float")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        # escapes as json.dumps(obj, ensure_ascii=False) does
-        out.append(encode_basestring(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise SchemaError("JSON object keys must be strings")
-            if i:
-                out.append(",")
-            _write(key, out)
-            out.append(":")
-            _write(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
-    else:
-        raise SchemaError(f"cannot serialize {type(obj).__name__}")
+def _fraction_text(q: Fraction) -> str:
+    """``q`` as "p/q", refused when an integer exceeds the interpreter's
+    int/str conversion limit (which is never changed here)."""
+    try:
+        return str(q)
+    except ValueError:
+        bits = max(abs(q.numerator), q.denominator).bit_length()
+        digits = int(bits * math.log10(2)) + 1
+        raise SchemaError(
+            f"cannot serialize an exact value of about {digits} digits: over "
+            f"the int/str conversion limit of {sys.get_int_max_str_digits()} "
+            "digits") from None
+
+
+def _jsonable(obj):
+    """The ``default`` hook of ``dumps_canonical``."""
+    if isinstance(obj, Fraction):
+        return _fraction_text(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_canonical(obj) -> str:
-    out: list = []
-    _write(obj, out)
-    return "".join(out)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False, allow_nan=False, default=_jsonable)
+    except ValueError as e:
+        if str(e).startswith("Out of range float"):
+            raise SchemaError("cannot serialize non-finite float") from None
+        raise SchemaError(f"cannot serialize: {e}") from None
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
+
+def _clip(v) -> str:
+    """repr(v) for an error message, cut after 60 characters."""
+    r = repr(v)
+    return r if len(r) <= 60 else f"{r[:60]}... ({len(r)} characters)"
+
 
 def _require(d: dict, key: str, kinds, where: str):
     if not isinstance(d, dict):
@@ -117,7 +112,7 @@ def label_from_jsonable(v):
         return tuple(label_from_jsonable(x) for x in v)
     if isinstance(v, (str, int, float)) and not isinstance(v, bool):
         return v
-    raise SchemaError(f"bad label value {v!r}")
+    raise SchemaError(f"bad label value {_clip(v)}")
 
 
 def space_to_jsonable(s: FiniteSpace) -> list:
@@ -131,7 +126,7 @@ def space_from_jsonable(v, where: str = "space") -> FiniteSpace:
 
 def _weight_to_jsonable(w):
     if isinstance(w, Fraction):
-        return str(w)
+        return _fraction_text(w)
     return float(w)
 
 
@@ -141,7 +136,7 @@ def _weight_from_jsonable(v, scalar: str, where: str):
             try:
                 return Fraction(v)
             except (ValueError, ZeroDivisionError) as e:
-                raise SchemaError(f"{where}: bad rational {v!r}: {e}") from None
+                raise SchemaError(f"{where}: bad rational {_clip(v)}: {e}") from None
         if isinstance(v, int) and not isinstance(v, bool):
             return Fraction(v)
         raise SchemaError(f"{where}: rational weights must be 'p/q' strings or ints")
@@ -162,7 +157,7 @@ def _infer_scalar(flat, where: str) -> str:
         elif isinstance(v, int):
             pass                      # ints fit either backend
         else:
-            raise SchemaError(f"{where}: bad weight {v!r}")
+            raise SchemaError(f"{where}: bad weight {_clip(v)}")
     if len(kinds) > 1:
         raise SchemaError(f"{where}: mixed rational strings and float numbers")
     return kinds.pop() if kinds else RATIONAL
@@ -328,7 +323,7 @@ def gp_model_from_jsonable(d, where: str = "gp") -> GPModel:
     kd = _require(d, "kernel", dict, where)
     family = _require(kd, "family", str, f"{where}.kernel")
     if family != "squared-exponential":
-        raise SchemaError(f"{where}.kernel.family: unsupported family {family!r}")
+        raise SchemaError(f"{where}.kernel.family: unsupported family {_clip(family)}")
     length = _require(kd, "length_scale", (int, float), f"{where}.kernel")
     amp = _require(kd, "amplitude", (int, float), f"{where}.kernel")
     md = d.get("mean", {"type": "zero"})
@@ -338,7 +333,7 @@ def gp_model_from_jsonable(d, where: str = "gp") -> GPModel:
     elif mtype == "constant":
         mean_fn = constant_mean(_require(md, "value", (int, float), f"{where}.mean"))
     else:
-        raise SchemaError(f"{where}.mean.type: unsupported type {mtype!r}")
+        raise SchemaError(f"{where}.mean.type: unsupported type {_clip(mtype)}")
     noise = _require(d, "noise_var", (int, float), where)
     if isinstance(noise, bool) or not 0 <= float(noise) < math.inf:
         raise SchemaError(f"{where}.noise_var: must be a finite nonnegative number")
@@ -368,9 +363,9 @@ def _parse_x(row, xcols, where):
     try:
         vals = [float(row[c]) for c in xcols]
     except (TypeError, ValueError, KeyError):
-        raise SchemaError(f"{where}: non-numeric input value in row {row!r}") from None
+        raise SchemaError(f"{where}: non-numeric input value in row {_clip(row)}") from None
     if not all(math.isfinite(v) for v in vals):
-        raise SchemaError(f"{where}: non-finite input value in row {row!r}")
+        raise SchemaError(f"{where}: non-finite input value in row {_clip(row)}")
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
@@ -384,9 +379,9 @@ def read_training_csv(path) -> TrainingSet:
             try:
                 y = float(row["y"])
             except (TypeError, ValueError):
-                raise SchemaError(f"{str(path)}: non-numeric y in row {row!r}") from None
+                raise SchemaError(f"{str(path)}: non-numeric y in row {_clip(row)}") from None
             if not math.isfinite(y):
-                raise SchemaError(f"{str(path)}: non-finite y in row {row!r}")
+                raise SchemaError(f"{str(path)}: non-finite y in row {_clip(row)}")
             pairs.append((x, y))
     return TrainingSet(tuple(pairs))
 

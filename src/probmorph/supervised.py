@@ -21,18 +21,12 @@ from .measures import (
     FLOAT,
     FiniteMeasure,
     FiniteSpace,
-    _freeze,
     measures_equal,
-    product_measure,
     product_space,
     require_same_scalar,
 )
-from .kernels import FiniteKernel, finite_kernel, marginal, pushforward
-from .gaussian import (
-    MAX_CONDITION,
-    GaussianMeasure,
-    _checked_solve,
-)
+from .kernels import FiniteKernel, marginal, pushforward
+from .gaussian import GaussianMeasure, _checked_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,22 +126,30 @@ def _require_inputs(model: SupervisedModel, xs: tuple) -> None:
             raise SchemaError(f"input {x!r} not in the model's input space")
 
 
+def _supervisor_stack(model: SupervisedModel) -> np.ndarray:
+    """All supervisor rows as one (hypothesis, input, label) array."""
+    return np.stack([k.rows for k in model.supervisors])
+
+
 def sampling_kernel(model: SupervisedModel, xs: Sequence) -> FiniteKernel:
     """The kernel from hypotheses to label tuples at the given inputs.
 
     Row theta is the product of the supervisor's rows at x_1..x_m:
     labels are conditionally independent given the hypothesis.  With a
     single input the target is the label space itself (no 1-tuples).
+    The rows are products of validated rows, so they are not validated
+    again (on floats that would compound the row-sum tolerance).
     """
     xs = tuple(xs)
     if len(xs) == 0:
         raise SchemaError("need at least one input point")
     _require_inputs(model, xs)
-    rows = []
-    for k in model.supervisors:
-        rows.append(product_measure([k.row(x) for x in xs]).weights)
+    sup = _supervisor_stack(model)[:, [model.inputs.index(x) for x in xs], :]
+    rows = sup[:, 0, :]
+    for j in range(1, len(xs)):        # product_measure's order
+        rows = (rows[:, :, None] * sup[:, j, None, :]).reshape(len(sup), -1)
     target = product_space([model.labels] * len(xs))
-    return finite_kernel(model.hypotheses, target, np.stack(rows))
+    return FiniteKernel(model.hypotheses, target, rows)
 
 
 def _observation_label(ys: tuple):
@@ -168,7 +170,7 @@ def _likelihood(model: SupervisedModel, s: TrainingSet) -> np.ndarray:
     """
     xi = [model.inputs.index(x) for x in s.inputs]
     yi = [model.labels.index(y) for y in s.outputs]
-    factors = np.stack([k.rows[xi, yi] for k in model.supervisors])
+    factors = _supervisor_stack(model)[:, xi, yi]
     rescale = model.scalar == FLOAT
     lik = factors[:, 0]
     for j in range(1, len(s)):
@@ -199,7 +201,7 @@ def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
     if evidence == 0:
         return InferenceResult(model.prior, True)
     return InferenceResult(
-        FiniteMeasure(model.hypotheses, _freeze(joint / evidence)), False)
+        FiniteMeasure(model.hypotheses, joint / evidence), False)
 
 
 def predictive(model: SupervisedModel, s: TrainingSet,
@@ -226,8 +228,7 @@ def restrict_inputs(model: SupervisedModel, keep: Sequence) -> SupervisedModel:
     keep = tuple(keep)
     sub = FiniteSpace(keep)
     idx = [model.inputs.index(x) for x in keep]
-    supers = tuple(
-        finite_kernel(sub, k.target, k.rows[idx]) for k in model.supervisors)
+    supers = tuple(FiniteKernel(sub, k.target, k.rows[idx]) for k in model.supervisors)
     return SupervisedModel(prior=model.prior, supervisors=supers)
 
 
@@ -346,8 +347,7 @@ def gp_joint(gp: GPModel, train_xs: Sequence, test_xs: Sequence) -> GaussianMeas
 
 
 def gp_posterior_predictive(gp: GPModel, s: TrainingSet, t: TestInputs,
-                            jitter: float = 0.0,
-                            max_condition: float = MAX_CONDITION) -> GaussianMeasure:
+                            jitter: float = 0.0) -> GaussianMeasure:
     """Closed-form posterior predictive at the test inputs:
 
     mean  = m(T) + K(T,X) C^-1 (Y - m(X))
@@ -365,7 +365,7 @@ def gp_posterior_predictive(gp: GPModel, s: TrainingSet, t: TestInputs,
     if jitter > 0.0:
         C = C + jitter * np.eye(len(xs))
     resid = ys - _mean_vec(gp.mean_fn, xs)
-    alpha = _checked_solve(C, resid, max_condition)
+    alpha = _checked_solve(C, resid)
     # C is checked once.  Two solves, not one stacked solve: stacking the
     # right-hand sides changes the mean in the last bit.
     gain = np.linalg.solve(C, ktx.T)

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, determinism, and exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -162,6 +163,51 @@ class TestPosteriorPredictive:
         out = json.loads(capsys.readouterr().out)
         assert out["weights"] == ["1/2", "1/2"]
 
+
+
+def _one_short_error(captured) -> dict:
+    """The refusal contract: nothing on stdout, one JSON object under
+    1 KB on stderr, no traceback."""
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    return json.loads(captured.err)["error"]
+
+
+class TestIntStrLimit:
+    """Exact values past the interpreter's int/str conversion limit are
+    refused with exit 2 on both sides, and the limit is left alone."""
+
+    def test_posterior_too_long_to_write_exits_2(self, tmp_path, capsys):
+        model = {"prior": {"labels": ["h0", "h1", "h2"],
+                           "weights": ["1/3", "1/3", "1/3"], "scalar": "rational"},
+                 "inputs": ["a", "b"], "labels": [0, 1, 2],
+                 "supervisors": [[["1/7", "2/7", "4/7"], ["3/11", "3/11", "5/11"]],
+                                 [["2/13", "5/13", "6/13"], ["1/3", "1/3", "1/3"]],
+                                 [["1/2", "1/4", "1/4"], ["2/5", "2/5", "1/5"]]]}
+        pairs = {"pairs": [["ab"[i % 2], i % 3] for i in range(3000)]}
+        limit = sys.get_int_max_str_digits()
+        code = main(["posterior", "--input", write_json(tmp_path / "m.json", model),
+                     "--data", write_json(tmp_path / "p.json", pairs)])
+        assert code == 2
+        err = _one_short_error(capsys.readouterr())
+        assert err["type"] == "SchemaError"
+        assert f"limit of {limit} digits" in err["message"]
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("form", ["p/q string", "bare int"])
+    def test_weight_too_long_to_read_exits_2(self, tmp_path, capsys, form):
+        big = "1" + "0" * 4999
+        path = tmp_path / "model.json"
+        text = json.dumps(MODEL).replace('"1/5"', f'"1/{big}"' if form == "p/q string"
+                                         else big)
+        path.write_text(text)
+        assert main(["invert", "--input", str(path)]) == 2
+        err = _one_short_error(capsys.readouterr())
+        assert err["type"] == "SchemaError"
+        assert "5000 digits" in err["message"]
+        assert f"({sys.get_int_max_str_digits()} digits)" in err["message"]
 
 class TestGpPredict:
     def _files(self, tmp_path):

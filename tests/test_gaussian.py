@@ -81,6 +81,18 @@ class TestCovarianceValidation:
                     AffineGaussianMap(args["A"], args["b"], args["noise"])
 
 
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        mean, cov = np.array([1.0]), np.array([[2.0]])
+        A, b = np.array([[1.0]]), np.array([0.0])
+        g = GaussianMeasure(mean, cov)
+        t = AffineGaussianMap(A, b, cov)
+        for arr in (mean, cov, A, b):
+            assert arr.flags.writeable
+            arr[...] = 7.0
+        assert g.mean[0] == 1.0 and g.cov[0, 0] == 2.0
+        assert t.A[0, 0] == 1.0 and t.b[0] == 0.0 and t.noise[0, 0] == 2.0
+        assert not g.mean.flags.writeable and not t.A.flags.writeable
+
 class TestClosedForms:
     def test_compose_hand_value(self):
         t1 = AffineGaussianMap([[2.0]], [1.0], [[1.0]])

@@ -65,6 +65,19 @@ class TestConstruction:
         assert list(row.weights) == [F(1, 4), F(3, 4)]
 
 
+    def test_row_view_shares_the_frozen_rows(self):
+        row = T1.row("x1")
+        assert np.shares_memory(row.weights, T1.rows)
+        assert not row.weights.flags.writeable
+
+    def test_direct_construction_checks_the_shape(self):
+        with pytest.raises(SchemaError, match=r"expected rows of shape \(2, 2\)"):
+            pm.FiniteKernel(X, Y, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+    def test_finite_kernel_refuses_a_wrong_shape(self):
+        with pytest.raises(SchemaError, match=r"expected rows of shape \(2, 2\)"):
+            finite_kernel(X, Y, [[F(1)], [F(1)]])
+
 class TestComposition:
     def test_hand_value(self):
         c = compose(T1, T2)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from probmorph import (
     BackendMismatchError,
+    BoundedFunction,
+    FiniteMeasure,
     FiniteSpace,
     NotAbsolutelyContinuousError,
     SchemaError,
@@ -127,6 +129,27 @@ class TestMeasureConstruction:
         m = prob_measure(FiniteSpace(("a", "b")), [0.5, 0.5])
         with pytest.raises(ValueError):
             m.weights[0] = 1.0
+
+    def test_direct_construction_checks_the_shape(self):
+        s = FiniteSpace(("a", "b"))
+        with pytest.raises(SchemaError, match="expected 2 weights, got shape"):
+            FiniteMeasure(s, np.array([0.5, 0.25, 0.25]))
+        with pytest.raises(SchemaError, match="expected 2 values, got shape"):
+            BoundedFunction(s, np.array([[1.0, 2.0]]))
+        with pytest.raises(SchemaError, match="got shape None"):
+            FiniteMeasure(s, [0.5, 0.5])
+
+    def test_caller_array_is_copied_not_frozen(self):
+        w = np.array([0.5, 0.5])
+        m = prob_measure(FiniteSpace(("a", "b")), w)
+        assert w.flags.writeable
+        w[0] = 0.9
+        assert list(m.weights) == [0.5, 0.5]
+
+    def test_frozen_array_is_taken_without_a_copy(self):
+        m = prob_measure(FiniteSpace(("a", "b")), [0.5, 0.5])
+        again = prob_measure(m.space, m.weights)
+        assert again.weights is m.weights
 
     def test_as_float_conversion(self):
         m = prob_measure(FiniteSpace(("a", "b")), [F(1, 4), F(3, 4)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -49,6 +50,30 @@ class TestCanonicalDumps:
         payload = {"labels": labels, "weights": [0.5] * len(labels)}
         assert json.loads(ser.dumps_canonical(payload)) == payload
 
+
+    def test_numpy_values_and_fractions_through_the_hook(self):
+        payload = {"f": F(1, 3), "i": np.int64(3), "x": np.float64(0.1),
+                   "a": np.array([[1.0, 0.5]]), "h": np.float32(0.5)}
+        assert ser.dumps_canonical(payload) == \
+            '{"a":[[1.0,0.5]],"f":"1/3","h":0.5,"i":3,"x":0.1}'
+
+    def test_integral_floats_keep_their_decimal_point(self):
+        assert ser.dumps_canonical([1.0, 0.0, -0.0, 1e16, 0.1]) == \
+            "[1.0,0.0,-0.0,1e+16,0.1]"
+
+    def test_unknown_types_are_rejected(self):
+        with pytest.raises(SchemaError, match="cannot serialize set"):
+            ser.dumps_canonical({"a": {1, 2}})
+
+    def test_fraction_over_the_int_str_limit_is_refused(self):
+        limit = sys.get_int_max_str_digits()
+        m = pm.prob_measure(pm.FiniteSpace(("a", "b")),
+                            [F(1, 10 ** 5000), 1 - F(1, 10 ** 5000)])
+        for payload in (F(1, 10 ** 5000), ser.measure_to_jsonable):
+            with pytest.raises(SchemaError, match=f"limit of {limit} digits"):
+                ser.dumps_canonical(payload if isinstance(payload, F)
+                                    else payload(m))
+        assert sys.get_int_max_str_digits() == limit
 
 class TestMeasureRoundTrip:
     def test_rational_measure(self):
@@ -154,6 +179,23 @@ class TestModelRoundTrips:
         with pytest.raises(SchemaError):
             ser.test_inputs_from_jsonable({"points": []})
 
+
+    def test_float_identity_kernel_reads_back_as_float(self):
+        X = pm.FiniteSpace(("x0", "x1"))
+        k = pm.identity_kernel(X, "float")
+        back = roundtrip(k, ser.kernel_to_jsonable, ser.kernel_from_jsonable)
+        assert back.scalar == "float"
+        assert pm.kernels_equal(back, k, tol=0.0)
+
+    def test_float_model_with_a_dirac_sampling_kernel_round_trips(self):
+        X = pm.FiniteSpace(("x0", "x1"))
+        model = pm.BayesModel(prior=pm.prob_measure(X, [0.25, 0.75]),
+                              sampling=pm.identity_kernel(X, "float"))
+        back = roundtrip(model, ser.bayes_model_to_jsonable,
+                         ser.bayes_model_from_jsonable)
+        assert back.scalar == "float"
+        assert back.sampling.scalar == "float"
+        assert pm.kernels_equal(back.sampling, model.sampling, tol=0.0)
 
 class TestGaussianRoundTrips:
     def test_gaussian_measure(self):

@@ -80,6 +80,20 @@ class TestSamplingKernel:
         with pytest.raises(SchemaError):
             sampling_kernel(MODEL, ["c"])
 
+    def test_rows_equal_the_product_measure_route(self):
+        rng = np.random.default_rng(11)
+        for scalar in ("rational", "float"):
+            for _ in range(5):
+                model, _ = _random_rational_model(rng)
+                if scalar == "float":
+                    model = model.as_float()
+                xs = [model.inputs.labels[int(i)] for i in rng.integers(model.inputs.size, size=3)]
+                sk = sampling_kernel(model, xs)
+                for k, row in zip(model.supervisors, sk.rows):
+                    want = pm.product_measure([k.row(x) for x in xs]).weights
+                    assert want.dtype == row.dtype
+                    assert list(want) == list(row)
+
 
 class TestPosterior:
     def test_empty_training_set_returns_the_prior(self):
@@ -257,6 +271,16 @@ class TestPredictive:
         assert len(margs) == 2
         only_b = predictive(MODEL, TrainingSet((("a", 1),)), TestInputs(("b",)))
         assert pm.measures_equal(margs[1], only_b.measure)
+
+    def test_float_rows_at_the_tolerance_predict_at_two_points(self):
+        # each row sums to 1 + 9e-10, inside PROB_SUM_TOL; a product of
+        # two such rows sums to 1 + 1.8e-9, outside it
+        h = finite_kernel(INPUTS, LABELS, [[0.5 + 0.9e-9, 0.5], [0.25 + 0.9e-9, 0.75]])
+        model = SupervisedModel(prior=prob_measure(FiniteSpace(("t",)), [1.0]),
+                                supervisors=(h,))
+        res = predictive(model, TrainingSet(()), TestInputs(("a", "b")))
+        want = [a * b for a in h.rows[0] for b in h.rows[1]]
+        assert list(res.measure.weights) == want
 
     def test_null_evidence_propagates(self):
         sure = finite_kernel(INPUTS, LABELS, [[F(1), F(0)], [F(1), F(0)]])
