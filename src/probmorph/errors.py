@@ -5,6 +5,13 @@ numerical failures with 3, law-check failures with 4.
 """
 
 
+def _clip(v, limit: int = 60) -> str:
+    """repr(v) for an error message, cut after ``limit`` characters.
+    An exception gives its own text instead of its repr."""
+    r = str(v) if isinstance(v, BaseException) else repr(v)
+    return r if len(r) <= limit else f"{r[:limit]}... ({len(r)} characters)"
+
+
 class ProbmorphError(Exception):
     """Base class for all package-specific errors."""
 

@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridError, NotPSDError, SchemaError, SingularMatrixError
-from .measures import FiniteMeasure, FiniteSpace, _freeze, prob_measure, product_space
+from .errors import GridError, NotPSDError, SchemaError, SingularMatrixError, _clip
+from .measures import (FiniteMeasure, FiniteSpace, _element_types, _freeze,
+                       prob_measure, product_space)
 from .kernels import FiniteKernel, finite_kernel
 from .bayes import BayesModel
 
@@ -30,9 +31,16 @@ MAX_CONDITION = 1e12
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """``values`` as a new float64 array (the constructors freeze it);
-    NaN and inf entries are refused."""
-    arr = np.array(values, dtype=np.float64)
+    """``values`` as a new float64 array (the constructors freeze it).
+    Refuses non-numeric or ragged input, bools and strings, and NaN and
+    inf entries."""
+    try:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            if any(issubclass(t, str) for t in _element_types(values)):
+                raise SchemaError("strings are not numbers")
+        arr = np.array(values, dtype=np.float64)
+    except (SchemaError, TypeError, ValueError, OverflowError) as e:
+        raise SchemaError(f"{what} is not a numeric array: {_clip(e, 160)}") from None
     if not np.isfinite(arr).all():
         raise SchemaError(f"{what} has non-finite entries")
     return arr
@@ -314,6 +322,23 @@ def _coverage_check(g: GaussianMeasure, grid: GridSpec) -> None:
                 f"than half a standard deviation ({sd / 2:.6g})")
 
 
+def _density_rows(centers: np.ndarray, means, var: float) -> np.ndarray:
+    """N(mean, var) densities at the cell centers normalized to mass one:
+    one row per mean, 1-D for a scalar mean.  Frozen, so the value
+    classes take it without a copy."""
+    z = centers - np.asarray(means)[..., None]
+    z /= math.sqrt(var)
+    rows = z * -0.5
+    rows *= z
+    del z
+    np.exp(rows, out=rows)
+    totals = rows.sum(axis=-1)
+    if not (totals > 0).all():
+        raise GridError("grid catches no probability mass")
+    rows /= totals[..., None]
+    return _freeze(rows)
+
+
 def gauss_discretize(g: GaussianMeasure, grid: GridSpec,
                      strict: bool = True) -> FiniteMeasure:
     """Project a Gaussian onto a finite measure on grid cell centers.
@@ -333,23 +358,21 @@ def gauss_discretize(g: GaussianMeasure, grid: GridSpec,
         raise GridError("cannot discretize: covariance is singular")
     if grid.ndim == 1:
         centers = grid.centers(0)
-        z = (centers - g.mean[0]) / math.sqrt(g.cov[0, 0])
-        dens = np.exp(-0.5 * z * z)
-        space = FiniteSpace(tuple(float(c) for c in centers))
-    else:
-        c0, c1 = grid.centers(0), grid.centers(1)
-        mesh = np.stack(np.meshgrid(c0, c1, indexing="ij"), axis=-1)
-        diff = mesh.reshape(-1, 2) - g.mean
-        sol = np.linalg.solve(g.cov, diff.T)
-        quad = np.einsum("ij,ji->i", diff, sol)
-        dens = np.exp(-0.5 * (quad - quad.min()))
-        ax0 = FiniteSpace(tuple(float(c) for c in c0))
-        ax1 = FiniteSpace(tuple(float(c) for c in c1))
-        space = product_space([ax0, ax1])
+        return prob_measure(FiniteSpace(tuple(float(c) for c in centers)),
+                            _density_rows(centers, g.mean[0], g.cov[0, 0]))
+    c0, c1 = grid.centers(0), grid.centers(1)
+    mesh = np.stack(np.meshgrid(c0, c1, indexing="ij"), axis=-1)
+    diff = mesh.reshape(-1, 2) - g.mean
+    sol = np.linalg.solve(g.cov, diff.T)
+    quad = np.einsum("ij,ji->i", diff, sol)
+    dens = np.exp(-0.5 * (quad - quad.min()))
+    ax0 = FiniteSpace(tuple(float(c) for c in c0))
+    ax1 = FiniteSpace(tuple(float(c) for c in c1))
+    space = product_space([ax0, ax1])
     total = float(dens.sum())
     if total <= 0:
         raise GridError("grid catches no probability mass")
-    return prob_measure(space, dens / total)
+    return prob_measure(space, _freeze(dens / total))
 
 
 def discretize_model_1d(prior: GaussianMeasure, t: AffineGaussianMap,
@@ -372,21 +395,11 @@ def discretize_model_1d(prior: GaussianMeasure, t: AffineGaussianMap,
                             half_width_sigmas, step_sigmas)
     obs_space = gauss_discretize(pred, ogrid).space
     # Row c is gauss_discretize(t.at([c]), ogrid, strict=False), computed
-    # for all parameter cells at once with the same operations in the
-    # same order, so the rows are bit-identical to that route.
+    # for all parameter cells at once by the same helper.
     noise = float(t.noise[0, 0])
     if noise <= 0:
         raise GridError("cannot discretize: covariance is singular")
     means = t.A[0, 0] * pgrid.centers(0) + t.b[0]
-    z = ogrid.centers(0)[None, :] - means[:, None]
-    z /= math.sqrt(noise)
-    rows = z * -0.5
-    rows *= z
-    del z
-    np.exp(rows, out=rows)
-    totals = rows.sum(axis=1)
-    if not (totals > 0).all():
-        raise GridError("grid catches no probability mass")
-    rows /= totals[:, None]
+    rows = _density_rows(ogrid.centers(0), means, noise)
     return BayesModel(prior=prior_m,
                       sampling=finite_kernel(prior_m.space, obs_space, rows))

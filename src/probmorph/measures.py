@@ -30,6 +30,7 @@ from .errors import (
     NotAbsolutelyContinuousError,
     SchemaError,
     UnsupportedStructureError,
+    _clip,
 )
 
 RATIONAL = "rational"
@@ -72,7 +73,7 @@ class FiniteSpace:
         try:
             return self._index[label]
         except KeyError:
-            raise SchemaError(f"label {label!r} not in space") from None
+            raise SchemaError(f"label {_clip(label)} not in space") from None
 
     def __contains__(self, label) -> bool:
         return label in self._index
@@ -128,48 +129,81 @@ def _scalar_of_dtype(arr: np.ndarray) -> str:
     return FLOAT if arr.dtype == np.float64 else RATIONAL
 
 
+def _refuse(v):
+    """Raise the SchemaError for a value that no backend takes."""
+    kind = ("boolean" if isinstance(v, (bool, np.bool_)) else "ragged or nested value"
+            if isinstance(v, (list, tuple, np.ndarray)) else "value")
+    raise SchemaError(f"{kind} {_clip(v)} is not a number")
+
+
+def _element_types(values) -> set:
+    """The types in a (nested) list, read in one C-level pass.  Refuses
+    bools, ragged nesting and all that is neither a number nor a string."""
+    arr = np.asarray(values, dtype=object)
+    types = set(map(type, arr.flat))
+    for t in types:
+        if issubclass(t, bool) or not issubclass(
+                t, (int, np.integer, float, np.floating, Fraction, str)):
+            _refuse(next(v for v in arr.flat if type(v) is t))
+    return types
+
+
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
-    raise SchemaError(
-        f"refusing to coerce {type(x).__name__} to an exact rational; "
-        "pass ints, Fractions, or 'p/q' strings, or use scalar='float'")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as e:    # also the int/str limit
+            raise SchemaError(f"bad rational {_clip(x)}: {_clip(e, 160)}") from None
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return Fraction(int(x))
+    if isinstance(x, (float, np.floating)):
+        raise SchemaError(f"refusing to coerce float {_clip(x)} to an exact "
+                          "rational; use 'p/q' strings or scalar='float'")
+    _refuse(x)
 
 
 _fractions = np.frompyfunc(_to_fraction, 1, 1)
 
 
 def as_scalar_array(values, scalar: str | None = None) -> np.ndarray:
-    """Coerce ``values`` to a 1-D or 2-D backend array.
+    """Coerce ``values`` to a 1-D or 2-D backend array: the one place
+    where outside values become weights, for the library and JSON alike.
 
-    With ``scalar=None`` the backend is inferred: any float present
-    selects the float backend, otherwise the rational one.  The value
-    classes freeze their arrays in place, so a caller's array is copied
-    unless it is already read-only and owns its data.
+    Fractions and 'p/q' strings are rational, floats are float, ints fit
+    either backend (rational when alone).  Mixing the two kinds is
+    refused, and so are bools, None and other types; ``scalar`` refuses
+    the other kind (strings under 'float').  A bad literal, a zero
+    denominator or a value over the int/str digit limit raises
+    SchemaError with the parser's reason.  The value classes freeze
+    their arrays in place, so a caller's array is copied unless it is
+    already read-only and owns its data.
     """
+    if scalar not in (None, RATIONAL, FLOAT):
+        raise SchemaError(f"unknown scalar backend {_clip(scalar)}")
     if isinstance(values, np.ndarray):
-        if (values.dtype == np.float64 and scalar in (None, FLOAT)
-                or values.dtype == object and scalar in (None, RATIONAL)
+        if (values.dtype == np.float64 and scalar != RATIONAL
+                or values.dtype == object and scalar != FLOAT
                 and all(isinstance(v, Fraction) for v in values.flat)):
             frozen = not values.flags.writeable and values.flags.owndata
             return values if frozen else values.copy()
         values = values.tolist()
-    if scalar is None:
-        flat = np.asarray(values, dtype=object).ravel()
-        has_float = any(isinstance(v, (float, np.floating)) for v in flat)
-        scalar = FLOAT if has_float else RATIONAL
+    if scalar != RATIONAL:          # else _to_fraction checks each value
+        types = _element_types(values)
+        kinds = {FLOAT if issubclass(t, (float, np.floating)) else RATIONAL
+                 for t in types if not issubclass(t, (int, np.integer))}
+        if len(kinds) > 1:
+            raise SchemaError("exact ('p/q' or Fraction) and float values mixed")
+        if scalar == FLOAT and kinds == {RATIONAL}:
+            raise SchemaError("scalar='float' takes no 'p/q' strings or Fractions")
+        scalar = scalar or (kinds.pop() if kinds else RATIONAL)
     if scalar == FLOAT:
         try:
             return np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"cannot coerce values to float64: {e}") from None
-    if scalar == RATIONAL:
-        return np.asarray(_fractions(np.asarray(values, dtype=object)), dtype=object)
-    raise SchemaError(f"unknown scalar backend {scalar!r}")
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"cannot coerce values to float64: {_clip(e, 160)}") from None
+    return np.asarray(_fractions(np.asarray(values, dtype=object)), dtype=object)
 
 
 def zeros_like_backend(shape, scalar: str) -> np.ndarray:

@@ -16,14 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SchemaError
-from .measures import (
-    FLOAT,
-    RATIONAL,
-    FiniteMeasure,
-    FiniteSpace,
-    signed_measure,
-)
+from .errors import SchemaError, _clip
+from .measures import FiniteMeasure, FiniteSpace, signed_measure
 from .kernels import FiniteKernel, finite_kernel
 from .bayes import BayesModel, InversionResult
 from .gaussian import AffineGaussianMap, GaussianMeasure
@@ -56,7 +50,8 @@ def _fraction_text(q: Fraction) -> str:
 
 
 def _jsonable(obj):
-    """The ``default`` hook of ``dumps_canonical``."""
+    """The ``default`` hook of ``dumps_canonical``.  A backend array
+    gives nested lists of JSON values: "p/q" strings or floats."""
     if isinstance(obj, Fraction):
         return _fraction_text(obj)
     if isinstance(obj, np.integer):
@@ -64,8 +59,11 @@ def _jsonable(obj):
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return (_jsonables(obj) if obj.dtype == object else obj).tolist()
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
+
+
+_jsonables = np.frompyfunc(_jsonable, 1, 1)
 
 
 def dumps_canonical(obj) -> str:
@@ -81,12 +79,6 @@ def dumps_canonical(obj) -> str:
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _clip(v) -> str:
-    """repr(v) for an error message, cut after 60 characters."""
-    r = repr(v)
-    return r if len(r) <= 60 else f"{r[:60]}... ({len(r)} characters)"
-
-
 def _require(d: dict, key: str, kinds, where: str):
     if not isinstance(d, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -96,6 +88,14 @@ def _require(d: dict, key: str, kinds, where: str):
     if kinds is not None and not isinstance(v, kinds):
         raise SchemaError(f"{where}.{key}: wrong type {type(v).__name__}")
     return v
+
+
+def _built(where: str, make, *args):
+    """make(*args), with a SchemaError it raises prefixed by ``where``."""
+    try:
+        return make(*args)
+    except SchemaError as e:
+        raise SchemaError(f"{where}: {e}") from None
 
 
 def label_to_jsonable(lab):
@@ -121,46 +121,7 @@ def space_to_jsonable(s: FiniteSpace) -> list:
 def space_from_jsonable(v, where: str = "space") -> FiniteSpace:
     if not isinstance(v, list) or not v:
         raise SchemaError(f"{where}: expected a nonempty list of labels")
-    return FiniteSpace(tuple(label_from_jsonable(x) for x in v))
-
-
-def _weight_to_jsonable(w):
-    if isinstance(w, Fraction):
-        return _fraction_text(w)
-    return float(w)
-
-
-def _weight_from_jsonable(v, scalar: str, where: str):
-    if scalar == RATIONAL:
-        if isinstance(v, str):
-            try:
-                return Fraction(v)
-            except (ValueError, ZeroDivisionError) as e:
-                raise SchemaError(f"{where}: bad rational {_clip(v)}: {e}") from None
-        if isinstance(v, int) and not isinstance(v, bool):
-            return Fraction(v)
-        raise SchemaError(f"{where}: rational weights must be 'p/q' strings or ints")
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise SchemaError(f"{where}: float weights must be numbers")
-
-
-def _infer_scalar(flat, where: str) -> str:
-    kinds = set()
-    for v in flat:
-        if isinstance(v, str):
-            kinds.add(RATIONAL)
-        elif isinstance(v, bool):
-            raise SchemaError(f"{where}: booleans are not weights")
-        elif isinstance(v, float):
-            kinds.add(FLOAT)
-        elif isinstance(v, int):
-            pass                      # ints fit either backend
-        else:
-            raise SchemaError(f"{where}: bad weight {_clip(v)}")
-    if len(kinds) > 1:
-        raise SchemaError(f"{where}: mixed rational strings and float numbers")
-    return kinds.pop() if kinds else RATIONAL
+    return _built(where, FiniteSpace, tuple(label_from_jsonable(x) for x in v))
 
 
 # ---------------------------------------------------------------------------
@@ -168,44 +129,38 @@ def _infer_scalar(flat, where: str) -> str:
 
 def measure_to_jsonable(m: FiniteMeasure) -> dict:
     return {"labels": space_to_jsonable(m.space),
-            "weights": [_weight_to_jsonable(w) for w in m.weights],
+            "weights": _jsonable(m.weights),
             "scalar": m.scalar}
 
 
 def measure_from_jsonable(d, where: str = "measure") -> FiniteMeasure:
     labels = _require(d, "labels", list, where)
     weights = _require(d, "weights", list, where)
-    scalar = d.get("scalar") if isinstance(d, dict) else None
-    if scalar is None:
-        scalar = _infer_scalar(weights, where)
-    if scalar not in (RATIONAL, FLOAT):
-        raise SchemaError(f"{where}.scalar: must be 'rational' or 'float'")
     space = space_from_jsonable(labels, f"{where}.labels")
     if len(weights) != space.size:
         raise SchemaError(f"{where}: {len(weights)} weights for {space.size} labels")
-    ws = [_weight_from_jsonable(v, scalar, f"{where}.weights") for v in weights]
-    return signed_measure(space, ws, scalar)
+    return _built(where, signed_measure, space, weights, d.get("scalar"))
 
 
 def kernel_to_jsonable(t: FiniteKernel) -> dict:
     return {"source": space_to_jsonable(t.source),
             "target": space_to_jsonable(t.target),
-            "rows": [[_weight_to_jsonable(w) for w in row] for row in t.rows]}
+            "rows": _jsonable(t.rows)}
+
+
+def _kernel_from_rows(source: FiniteSpace, target: FiniteSpace, rows,
+                      where: str) -> FiniteKernel:
+    if (not isinstance(rows, list) or len(rows) != source.size
+            or any(not isinstance(r, list) or len(r) != target.size for r in rows)):
+        raise SchemaError(f"{where}.rows: expected {source.size} rows (lists) "
+                          f"of {target.size} entries")
+    return _built(f"{where}.rows", finite_kernel, source, target, rows)
 
 
 def kernel_from_jsonable(d, where: str = "kernel") -> FiniteKernel:
     source = space_from_jsonable(_require(d, "source", list, where), f"{where}.source")
     target = space_from_jsonable(_require(d, "target", list, where), f"{where}.target")
-    rows = _require(d, "rows", list, where)
-    if len(rows) != source.size or any(not isinstance(r, list) for r in rows):
-        raise SchemaError(f"{where}.rows: expected {source.size} rows (lists)")
-    flat = [v for r in rows for v in r]
-    scalar = _infer_scalar(flat, f"{where}.rows")
-    parsed = [[_weight_from_jsonable(v, scalar, f"{where}.rows") for v in r]
-              for r in rows]
-    if any(len(r) != target.size for r in parsed):
-        raise SchemaError(f"{where}.rows: rows must have {target.size} entries")
-    return finite_kernel(source, target, parsed, scalar)
+    return _kernel_from_rows(source, target, _require(d, "rows", list, where), where)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +175,7 @@ def bayes_model_from_jsonable(d, where: str = "model") -> BayesModel:
     prior = measure_from_jsonable(_require(d, "prior", dict, where), f"{where}.prior")
     sampling = kernel_from_jsonable(_require(d, "sampling", dict, where),
                                     f"{where}.sampling")
-    try:
-        return BayesModel(prior=prior, sampling=sampling)
-    except SchemaError as e:
-        raise SchemaError(f"{where}: {e}") from None
+    return _built(where, BayesModel, prior, sampling)
 
 
 def inversion_to_jsonable(r: InversionResult) -> dict:
@@ -235,9 +187,7 @@ def supervised_model_to_jsonable(m: SupervisedModel) -> dict:
     return {"prior": measure_to_jsonable(m.prior),
             "inputs": space_to_jsonable(m.inputs),
             "labels": space_to_jsonable(m.labels),
-            "supervisors": [
-                [[_weight_to_jsonable(w) for w in row] for row in k.rows]
-                for k in m.supervisors]}
+            "supervisors": [_jsonable(k.rows) for k in m.supervisors]}
 
 
 def supervised_model_from_jsonable(d, where: str = "model") -> SupervisedModel:
@@ -247,17 +197,9 @@ def supervised_model_from_jsonable(d, where: str = "model") -> SupervisedModel:
     sup = _require(d, "supervisors", list, where)
     if len(sup) != prior.space.size:
         raise SchemaError(f"{where}.supervisors: need one kernel per hypothesis")
-    kernels = []
-    for i, rows in enumerate(sup):
-        kernels.append(kernel_from_jsonable(
-            {"source": space_to_jsonable(inputs),
-             "target": space_to_jsonable(labels),
-             "rows": rows},
-            f"{where}.supervisors[{i}]"))
-    try:
-        return SupervisedModel(prior=prior, supervisors=tuple(kernels))
-    except SchemaError as e:
-        raise SchemaError(f"{where}: {e}") from None
+    kernels = tuple(_kernel_from_rows(inputs, labels, rows, f"{where}.supervisors[{i}]")
+                    for i, rows in enumerate(sup))
+    return _built(where, SupervisedModel, prior, kernels)
 
 
 def training_from_jsonable(d, where: str = "training") -> TrainingSet:
@@ -277,10 +219,7 @@ def training_to_jsonable(s: TrainingSet) -> dict:
 
 def test_inputs_from_jsonable(d, where: str = "test") -> TestInputs:
     points = _require(d, "points", list, where)
-    try:
-        return TestInputs(tuple(label_from_jsonable(p) for p in points))
-    except SchemaError as e:
-        raise SchemaError(f"{where}: {e}") from None
+    return _built(where, TestInputs, tuple(label_from_jsonable(p) for p in points))
 
 
 def test_inputs_to_jsonable(t: TestInputs) -> dict:
@@ -290,22 +229,13 @@ def test_inputs_to_jsonable(t: TestInputs) -> dict:
 # ---------------------------------------------------------------------------
 # Gaussian objects
 
-def _float_matrix(v, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{where}: not a numeric array: {e}") from None
-    return arr
-
-
 def gaussian_to_jsonable(g: GaussianMeasure) -> dict:
     return {"mean": g.mean.tolist(), "cov": g.cov.tolist()}
 
 
 def gaussian_from_jsonable(d, where: str = "gaussian") -> GaussianMeasure:
-    mean = _float_matrix(_require(d, "mean", list, where), f"{where}.mean")
-    cov = _float_matrix(_require(d, "cov", list, where), f"{where}.cov")
-    return GaussianMeasure(mean, cov)
+    return _built(where, GaussianMeasure, _require(d, "mean", list, where),
+                  _require(d, "cov", list, where))
 
 
 def affine_map_to_jsonable(t: AffineGaussianMap) -> dict:
@@ -313,10 +243,19 @@ def affine_map_to_jsonable(t: AffineGaussianMap) -> dict:
 
 
 def affine_map_from_jsonable(d, where: str = "map") -> AffineGaussianMap:
-    A = _float_matrix(_require(d, "A", list, where), f"{where}.A")
-    b = _float_matrix(_require(d, "b", list, where), f"{where}.b")
-    noise = _float_matrix(_require(d, "noise", list, where), f"{where}.noise")
-    return AffineGaussianMap(A, b, noise)
+    A, b, noise = (_require(d, k, list, where) for k in ("A", "b", "noise"))
+    return _built(where, AffineGaussianMap, A, b, noise)
+
+
+def _number(d: dict, key: str, where: str) -> float:
+    """A JSON number field as a float; booleans are refused."""
+    v = _require(d, key, (int, float), where)
+    if isinstance(v, bool):
+        raise SchemaError(f"{where}.{key}: wrong type bool")
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"{where}.{key}: {_clip(v)} is out of the float range") from None
 
 
 def gp_model_from_jsonable(d, where: str = "gp") -> GPModel:
@@ -324,22 +263,18 @@ def gp_model_from_jsonable(d, where: str = "gp") -> GPModel:
     family = _require(kd, "family", str, f"{where}.kernel")
     if family != "squared-exponential":
         raise SchemaError(f"{where}.kernel.family: unsupported family {_clip(family)}")
-    length = _require(kd, "length_scale", (int, float), f"{where}.kernel")
-    amp = _require(kd, "amplitude", (int, float), f"{where}.kernel")
+    length = _number(kd, "length_scale", f"{where}.kernel")
+    amp = _number(kd, "amplitude", f"{where}.kernel")
     md = d.get("mean", {"type": "zero"})
     mtype = _require(md, "type", str, f"{where}.mean")
     if mtype == "zero":
         mean_fn = zero_mean()
     elif mtype == "constant":
-        mean_fn = constant_mean(_require(md, "value", (int, float), f"{where}.mean"))
+        mean_fn = constant_mean(_number(md, "value", f"{where}.mean"))
     else:
         raise SchemaError(f"{where}.mean.type: unsupported type {_clip(mtype)}")
-    noise = _require(d, "noise_var", (int, float), where)
-    if isinstance(noise, bool) or not 0 <= float(noise) < math.inf:
-        raise SchemaError(f"{where}.noise_var: must be a finite nonnegative number")
-    return GPModel(mean_fn=mean_fn,
-                   cov_fn=squared_exponential(float(length), float(amp)),
-                   noise_var=float(noise))
+    cov_fn = _built(where, squared_exponential, length, amp)
+    return _built(where, GPModel, mean_fn, cov_fn, _number(d, "noise_var", where))
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +294,13 @@ def _xy_columns(fieldnames, need_y: bool, where: str):
     return xcols
 
 
-def _parse_x(row, xcols, where):
+def _parse_x(row, xcols, where, what="input value"):
     try:
         vals = [float(row[c]) for c in xcols]
     except (TypeError, ValueError, KeyError):
-        raise SchemaError(f"{where}: non-numeric input value in row {_clip(row)}") from None
+        raise SchemaError(f"{where}: non-numeric {what} in row {_clip(row)}") from None
     if not all(math.isfinite(v) for v in vals):
-        raise SchemaError(f"{where}: non-finite input value in row {_clip(row)}")
+        raise SchemaError(f"{where}: non-finite {what} in row {_clip(row)}")
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
@@ -376,12 +311,7 @@ def read_training_csv(path) -> TrainingSet:
         pairs = []
         for row in reader:
             x = _parse_x(row, xcols, str(path))
-            try:
-                y = float(row["y"])
-            except (TypeError, ValueError):
-                raise SchemaError(f"{str(path)}: non-numeric y in row {_clip(row)}") from None
-            if not math.isfinite(y):
-                raise SchemaError(f"{str(path)}: non-finite y in row {_clip(row)}")
+            y = _parse_x(row, ["y"], str(path), "y")
             pairs.append((x, y))
     return TrainingSet(tuple(pairs))
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -209,6 +210,47 @@ class TestIntStrLimit:
         assert "5000 digits" in err["message"]
         assert f"({sys.get_int_max_str_digits()} digits)" in err["message"]
 
+class TestShortRefusals:
+    """Inputs the value constructors refuse exit 2 with one short error."""
+
+    @pytest.mark.parametrize("weights, scalar", [
+        (["1/0", "1"], None), (["abc", "1"], None), ([True, False], None),
+        ([True, False], "rational"), ([True, False], "float"),
+        (["1/2", "1/2"], "float"), ([0.25, "3/4"], None), ([None, 1], None),
+    ])
+    def test_bad_prior_weights_exit_2(self, tmp_path, capsys, weights, scalar):
+        prior = {"labels": ["t1", "t2"], "weights": weights}
+        if scalar:
+            prior["scalar"] = scalar
+        inp = write_json(tmp_path / "model.json", dict(MODEL, prior=prior))
+        assert main(["invert", "--input", inp]) == 2
+        err = _one_short_error(capsys.readouterr())
+        assert err["type"] == "SchemaError"
+        assert err["message"].startswith("model.prior: ")
+
+    def test_bad_label_among_3000_pairs_names_the_pair(self, tmp_path, capsys):
+        pairs = [["ab"[i % 2], i % 2] for i in range(3000)]
+        pairs[1234][1] = 5
+        code = main(["posterior", "--input", write_json(tmp_path / "m.json", SUPERVISED),
+                     "--data", write_json(tmp_path / "p.json", {"pairs": pairs})])
+        assert code == 2
+        err = _one_short_error(capsys.readouterr())
+        assert "pair 1234 has label 5" in err["message"]
+
+    def test_predictive_joint_over_the_limit_exits_2_quickly(self, tmp_path, capsys):
+        model = {"prior": {"labels": ["h0", "h1"], "weights": ["1/2", "1/2"]},
+                 "inputs": ["a", "b"], "labels": [0, 1, 2],
+                 "supervisors": [[["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"]]] * 2}
+        start = time.process_time()
+        code = main(["predictive", "--input", write_json(tmp_path / "m.json", model),
+                     "--data", write_json(tmp_path / "p.json", {"pairs": [["a", 1]]}),
+                     "--test", write_json(tmp_path / "t.json", {"points": ["a", "b"] * 7})])
+        assert code == 2
+        assert time.process_time() - start < 5.0
+        err = _one_short_error(capsys.readouterr())
+        assert "2 x 3^14 entries" in err["message"]
+
+
 class TestGpPredict:
     def _files(self, tmp_path):
         cfg = write_json(tmp_path / "gp.json", GP_CONFIG)
@@ -326,6 +368,22 @@ class TestGpPredict:
                      "--test", test]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("param", ["length_scale", "amplitude", "value", "noise_var"])
+    def test_boolean_gp_parameter_exits_2(self, tmp_path, capsys, param):
+        cfg, train, test = self._files(tmp_path)
+        config = dict(GP_CONFIG, mean={"type": "constant", "value": 0.5})
+        if param == "noise_var":
+            config["noise_var"] = True
+        elif param == "value":
+            config["mean"] = {"type": "constant", "value": False}
+        else:
+            config["kernel"] = dict(GP_CONFIG["kernel"], **{param: True})
+        write_json(tmp_path / "gp.json", config)
+        assert main(["gp-predict", "--input", cfg, "--data", train,
+                     "--test", test]) == 2
+        err = _one_short_error(capsys.readouterr())
+        assert err["message"].endswith(f".{param}: wrong type bool")
 
 
 class TestCheckLaws:

@@ -93,6 +93,17 @@ class TestCovarianceValidation:
         assert t.A[0, 0] == 1.0 and t.b[0] == 0.0 and t.noise[0, 0] == 2.0
         assert not g.mean.flags.writeable and not t.A.flags.writeable
 
+    @pytest.mark.parametrize("mean, cov", [
+        (["a"], [[1.0]]), (["0.5"], [[1.0]]), ([True], [[1.0]]),
+        ([0.0], [[False]]), ([0.0, 1.0], [[1.0, 0.0], [0.0]]),
+        ([None], [[1.0]]), (np.array([True]), [[1.0]]), ([10 ** 400], [[1.0]]),
+    ])
+    def test_non_numeric_or_ragged_input_is_a_schema_error(self, mean, cov):
+        with pytest.raises(SchemaError):
+            GaussianMeasure(mean, cov)
+        with pytest.raises(SchemaError):
+            AffineGaussianMap([[1.0]] * len(mean), mean, cov)
+
 class TestClosedForms:
     def test_compose_hand_value(self):
         t1 = AffineGaussianMap([[2.0]], [1.0], [[1.0]])
@@ -305,6 +316,21 @@ class TestGridRowsAndConditionEstimate:
         rows = np.stack([gauss_discretize(t.at([c]), ogrid, strict=False).weights
                          for c in finite.parameters.labels])
         assert np.array_equal(finite.sampling.rows, rows)
+
+    def test_grid_arrays_reach_the_value_classes_without_a_copy(self, monkeypatch):
+        made = []
+        real = pm.gaussian._density_rows
+
+        def recording(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(pm.gaussian, "_density_rows", recording)
+        finite = pm.discretize_model_1d(GaussianMeasure([0.3], [[0.7]]),
+                                        AffineGaussianMap([[1.3]], [-0.2], [[0.4]]))
+        assert finite.prior.weights is made[0]
+        assert finite.sampling.rows is made[-1]
+        assert made[-1].shape == (finite.parameters.size, finite.observations.size)
 
     def test_zero_noise_map_is_refused(self):
         prior = GaussianMeasure([0.0], [[1.0]])

@@ -165,6 +165,64 @@ class TestMeasureConstruction:
             measures_equal(m1, m2)
 
 
+class TestWeightPolicy:
+    """as_scalar_array is the one place where outside values become
+    weights; every refusal is a SchemaError."""
+
+    S = FiniteSpace(("a", "b"))
+
+    @pytest.mark.parametrize("weights, scalar", [
+        (["1/0", "1"], None), (["abc", "1"], None), (["1/0", "1"], "rational"),
+        ([True, False], None), ([True, False], "rational"), ([True, False], "float"),
+        ([0.5, True], None), ([0.5, True], "float"), ([F(1, 2), True], None),
+        (np.array([True, False]), None),
+        (["0.5", "0.5"], "float"), ([F(1, 4), F(3, 4)], "float"),
+        ([0.25, F(3, 4)], None), ([0.25, F(3, 4)], "float"),
+        ([0.25, F(3, 4)], "rational"), ([0.25, "3/4"], None),
+        ([None, 1], None), ([None, 1.0], "float"), ([{}, 1], "rational"),
+        ([10 ** 400, 0], "float"), ([10 ** 400, 0.0], None),
+    ])
+    def test_refusals_are_schema_errors(self, weights, scalar):
+        with pytest.raises(SchemaError):
+            prob_measure(self.S, weights, scalar)
+
+    def test_ints_fit_either_backend(self):
+        assert prob_measure(self.S, [1, 0]).scalar == "rational"
+        assert prob_measure(self.S, [1, np.int64(0)], "float").scalar == "float"
+        assert prob_measure(self.S, [1, 0.0]).scalar == "float"
+        three = FiniteSpace(("a", "b", "c"))
+        assert prob_measure(three, ["1/3", 0, F(2, 3)]).scalar == "rational"
+
+    def test_unknown_backend_is_refused(self):
+        with pytest.raises(SchemaError, match="unknown scalar backend 'decimal'"):
+            prob_measure(self.S, [1, 0], "decimal")
+
+    def test_messages_keep_the_parser_reason(self):
+        with pytest.raises(SchemaError, match=r"bad rational '1/0': Fraction\(1, 0\)"):
+            prob_measure(self.S, ["1/0", "1"])
+        with pytest.raises(SchemaError, match="Invalid literal for Fraction"):
+            prob_measure(self.S, ["abc", "1"])
+        with pytest.raises(SchemaError, match="boolean True is not a number"):
+            prob_measure(self.S, [True, False])
+        with pytest.raises(SchemaError, match="float values mixed"):
+            prob_measure(self.S, [0.25, F(3, 4)])
+
+    @pytest.mark.parametrize("literal", ["x" * 5000, "1/" + "1" * 5000])
+    def test_long_literals_give_short_messages(self, literal):
+        with pytest.raises(SchemaError) as info:
+            prob_measure(self.S, [literal, "1"])
+        assert len(str(info.value)) < 400
+        assert "5002 characters" in str(info.value) or "5000 digits" in str(info.value)
+
+    def test_ragged_rows_are_refused(self):
+        from probmorph import finite_kernel
+        for scalar in (None, "rational", "float"):
+            with pytest.raises(SchemaError, match="ragged"):
+                finite_kernel(self.S, self.S, [[1, 0], [1]], scalar)
+        with pytest.raises(SchemaError, match="ragged"):
+            finite_kernel(self.S, self.S, [[1.0, 0.0], [1.0]])
+
+
 class TestTvNorm:
     def test_hand_value(self):
         s = FiniteSpace(("a", "b", "c"))

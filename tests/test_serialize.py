@@ -112,6 +112,78 @@ class TestMeasureRoundTrip:
                                        "weights": ["1/2", 0.5]})
 
 
+# Weight lists and backends for the parity test: the JSON reader and the
+# library constructors must accept and refuse the same lists.
+WEIGHT_CASES = [
+    (["1/2", "1/2"], None), ([1, 0], None), ([0.5, 0.5], None), ([1, 0.0], None),
+    (["1/2", 0.5], None), (["1/0", "1"], None), (["abc", "1"], None),
+    ([True, False], None), ([True, False], "rational"), ([True, False], "float"),
+    ([0.5, True], "float"), (["0.5", "0.5"], "float"), (["1/2", "1/2"], "float"),
+    ([0.5, 0.5], "rational"), ([1, 0], "rational"), ([1, 0], "float"),
+    ([None, 1], None), ([[1], [0]], None), ([{}, 1], None), ([10 ** 400, 0.0], None),
+    (["1/2", "1/2"], "decimal"), ([0.5, 0.5], ["float"]),
+]
+
+
+@pytest.mark.parametrize("weights, scalar", WEIGHT_CASES)
+def test_json_and_library_routes_agree_on_weights(weights, scalar):
+    space = pm.FiniteSpace(("a", "b"))
+    d = {"labels": ["a", "b"], "weights": weights}
+    if scalar is not None:
+        d["scalar"] = scalar
+    text = json.dumps(d)
+    try:
+        lib = pm.signed_measure(space, weights, scalar)
+    except SchemaError:
+        lib = None
+    try:
+        back = ser.measure_from_jsonable(json.loads(text))
+    except SchemaError as e:
+        assert lib is None, f"JSON refused what the library took: {e}"
+        assert str(e).startswith("measure: ")
+        return
+    assert lib is not None, "JSON took what the library refused"
+    assert back.scalar == lib.scalar
+    assert pm.measures_equal(back, lib, tol=0.0)
+
+
+class TestRefusalsCarryTheirPlace:
+    def test_kernel_rows(self):
+        with pytest.raises(SchemaError, match=r"^kernel\.rows: bad rational '1/0'"):
+            ser.kernel_from_jsonable({"source": ["x"], "target": ["u", "v"],
+                                      "rows": [["1/0", "1"]]})
+        with pytest.raises(SchemaError, match=r"^kernel\.rows: expected 1 rows"):
+            ser.kernel_from_jsonable({"source": ["x"], "target": ["u", "v"],
+                                      "rows": [["1"]]})
+
+    def test_supervisor_rows(self):
+        d = {"prior": {"labels": ["t"], "weights": ["1"]}, "inputs": ["a"],
+             "labels": [0, 1], "supervisors": [[[True, False]]]}
+        with pytest.raises(SchemaError,
+                           match=r"^model\.supervisors\[0\]\.rows: boolean True"):
+            ser.supervised_model_from_jsonable(d)
+
+    def test_gaussian(self):
+        with pytest.raises(SchemaError, match="^gaussian: mean is not a numeric array: strings"):
+            ser.gaussian_from_jsonable({"mean": ["a"], "cov": [[1.0]]})
+        with pytest.raises(SchemaError, match="^map: A is not a numeric array: ragged"):
+            ser.affine_map_from_jsonable({"A": [[1.0], [1.0, 2.0]], "b": [0.0],
+                                          "noise": [[1.0]]})
+
+    def test_supervisors_reuse_the_parsed_spaces(self, monkeypatch):
+        calls = []
+        real = ser.space_from_jsonable
+        monkeypatch.setattr(ser, "space_from_jsonable",
+                            lambda v, where="space": calls.append(where) or real(v, where))
+        rows = [["1/2", "1/2"], ["1", "0"]]
+        d = {"prior": {"labels": ["t1", "t2", "t3"], "weights": ["1/3"] * 3},
+             "inputs": ["a", "b"], "labels": [0, 1], "supervisors": [rows] * 3}
+        model = ser.supervised_model_from_jsonable(d)
+        assert len(calls) == 3
+        assert all(k.source is model.inputs and k.target is model.labels
+                   for k in model.supervisors)
+
+
 class TestKernelRoundTrip:
     def test_rational_kernel(self):
         t = pm.finite_kernel(pm.FiniteSpace(("x",)), pm.FiniteSpace(("u", "v")),
@@ -218,6 +290,26 @@ class TestGaussianRoundTrips:
         assert gp.noise_var == 0.25
         assert gp.mean_fn(123.0) == 1.0
         assert abs(gp.cov_fn(0.0, 0.0) - 1.5 ** 2) < 1e-15
+
+    @pytest.mark.parametrize("field", ["length_scale", "amplitude", "value", "noise_var"])
+    @pytest.mark.parametrize("bad", [True, "1.0", 10 ** 400])
+    def test_numeric_fields_refuse_bools_strings_and_overflow(self, field, bad):
+        d = {"kernel": {"family": "squared-exponential", "length_scale": 2.0,
+                        "amplitude": 1.5},
+             "mean": {"type": "constant", "value": 1.0}, "noise_var": 0.25}
+        {"length_scale": d["kernel"], "amplitude": d["kernel"],
+         "value": d["mean"], "noise_var": d}[field][field] = bad
+        with pytest.raises(SchemaError, match=field):
+            ser.gp_model_from_jsonable(d)
+
+    def test_range_checks_keep_the_place(self):
+        d = {"kernel": {"family": "squared-exponential", "length_scale": 2.0,
+                        "amplitude": 0.0}, "noise_var": -1.0}
+        with pytest.raises(SchemaError, match="^gp: length_scale and amplitude"):
+            ser.gp_model_from_jsonable(d)
+        d["kernel"]["amplitude"] = 1.0
+        with pytest.raises(SchemaError, match="^gp: noise variance"):
+            ser.gp_model_from_jsonable(d)
 
     def test_unknown_kernel_family_rejected(self):
         with pytest.raises(SchemaError):

@@ -131,6 +131,14 @@ class TestPosterior:
         with pytest.raises(SchemaError, match="observed labels 7 outside"):
             posterior(MODEL, TrainingSet((("a", 7),)))
 
+    def test_label_error_names_the_first_bad_pair_briefly(self):
+        pairs = tuple(("ab"[i % 2], i % 2) for i in range(3000)) + (("a", 7), ("b", 9))
+        with pytest.raises(SchemaError) as info:
+            posterior(MODEL, TrainingSet(pairs))
+        msg = str(info.value)
+        assert "pair 3000 has label 7" in msg
+        assert len(msg) < 200
+
     def test_sequential_equals_batch(self):
         s_all = TrainingSet((("a", 1), ("b", 0), ("a", 0)))
         batch = posterior(MODEL, s_all)
@@ -281,6 +289,27 @@ class TestPredictive:
         res = predictive(model, TrainingSet(()), TestInputs(("a", "b")))
         want = [a * b for a in h.rows[0] for b in h.rows[1]]
         assert list(res.measure.weights) == want
+
+    def test_joints_over_the_size_limit_are_refused_before_building(self, monkeypatch):
+        three = FiniteSpace((0, 1, 2))
+        h = finite_kernel(INPUTS, three, [["1/3"] * 3, ["1/2", "1/4", "1/4"]])
+        model = SupervisedModel(prior=prob_measure(TH, [F(1, 2), F(1, 2)]),
+                                supervisors=(h, h))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the product space was built")
+
+        monkeypatch.setattr(pm.supervised, "product_space", never)
+        limit = pm.supervised.MAX_JOINT_ENTRIES
+        points = ("a",) * 21              # 2 x 3^21 is about 2.1e10 entries
+        with pytest.raises(SchemaError, match=rf"2 x 3\^21 entries, over the limit of {limit}"):
+            predictive(model, TrainingSet(()), TestInputs(points))
+
+    def test_the_limit_itself_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(pm.supervised, "MAX_JOINT_ENTRIES", 16)
+        assert sampling_kernel(MODEL, ("a", "b", "a")).rows.size == 2 * 2 ** 3
+        with pytest.raises(SchemaError, match=r"2 x 2\^4 entries, over the limit of 16"):
+            sampling_kernel(MODEL, ("a", "b", "a", "b"))
 
     def test_null_evidence_propagates(self):
         sure = finite_kernel(INPUTS, LABELS, [[F(1), F(0)], [F(1), F(0)]])
