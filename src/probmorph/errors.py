@@ -68,7 +68,3 @@ class NotPSDError(NumericalError):
 class GridError(NumericalError):
     """A discretization grid is too coarse, too narrow, or otherwise
     unable to represent the requested distribution."""
-
-
-class LawCheckFailure(ProbmorphError):
-    """Raised by the CLI when law checks report counterexamples."""

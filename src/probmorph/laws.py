@@ -72,8 +72,8 @@ def random_function(rng, space: FiniteSpace, scalar: str):
 
 def random_kernel(rng, src: FiniteSpace, tgt: FiniteSpace, scalar: str,
                   allow_zero: bool = False):
-    rows = [random_prob_weights(rng, tgt.size, scalar, allow_zero)
-            for _ in range(src.size)]
+    rows = np.array([random_prob_weights(rng, tgt.size, scalar, allow_zero)
+                     for _ in range(src.size)])
     return kernels.finite_kernel(src, tgt, rows, scalar)
 
 
@@ -456,17 +456,21 @@ def check_gaussian_finite_bridge(rng, trials: int, scalar: str, tol: float) -> l
 # ---------------------------------------------------------------------------
 # registry and runner
 
+# The counterexamples a report lists; num_failures counts them all.
+FAILURES_REPORTED = 5
+
+
 @dataclass
 class CheckReport:
     name: str
     trials: int
     failures: list
 
-    def to_jsonable(self, keep: int = 5) -> dict:
+    def to_jsonable(self) -> dict:
         return {"name": self.name,
                 "trials": self.trials,
                 "num_failures": len(self.failures),
-                "failures": self.failures[:keep]}
+                "failures": self.failures[:FAILURES_REPORTED]}
 
 
 # (name, function, trial cap)

@@ -411,17 +411,12 @@ def expectation(m: FiniteMeasure, f: Callable | None = None):
     """sum_x f(x) mu(x) with f applied to the labels (identity by default).
 
     With the default f the labels themselves must support arithmetic,
-    e.g. the float cell centers of a discretization grid.
+    e.g. the float cell centers of a discretization grid.  Values are
+    taken in the measure's backend, so rational sums stay exact.
     """
-    if f is None:
-        vals = list(m.space.labels)
-    else:
-        vals = [f(lab) for lab in m.space.labels]
-    out = None
-    for w, v in zip(m.weights, vals):
-        term = w * v
-        out = term if out is None else out + term
-    return out
+    labels = m.space.labels
+    vals = labels if f is None else [f(lab) for lab in labels]
+    return m.weights @ np.asarray(vals, dtype=m.weights.dtype)
 
 
 # ---------------------------------------------------------------------------

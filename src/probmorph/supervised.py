@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, _clip
+from .errors import NumericalError, SchemaError, _clip
 from .measures import (
     FLOAT,
     FiniteMeasure,
@@ -269,7 +269,11 @@ def restriction_consistency(model: SupervisedModel, s: TrainingSet,
 @dataclass(frozen=True)
 class GPModel:
     """A Gaussian process prior: mean function, covariance function and
-    observation noise variance."""
+    observation noise variance.
+
+    Both functions take input arrays: ``mean_fn(X)`` maps an (n, d)
+    float array to the (n,) mean vector, and ``cov_fn(X, Y)`` maps (n, d)
+    and (m, d) arrays to the (n, m) Gram block."""
 
     mean_fn: Callable
     cov_fn: Callable
@@ -281,41 +285,41 @@ class GPModel:
 
 
 def zero_mean():
-    return lambda x: 0.0
+    return lambda X: np.zeros(len(X))
 
 
 def constant_mean(c: float):
     c = float(c)
-    return lambda x: c
+    return lambda X: np.full(len(X), c)
 
 
 def squared_exponential(length_scale: float = 1.0, amplitude: float = 1.0):
-    """k(x, x') = amplitude^2 * exp(-|x - x'|^2 / (2 length_scale^2)),
-    accepting scalar or vector inputs.
+    """k(x, x') = amplitude^2 * exp(-|x - x'|^2 / (2 length_scale^2)) as
+    the Gram block ``k(X, Y)`` over (n, d) and (m, d) input arrays.
 
-    The returned callable carries an array form as its ``gram``
-    attribute: ``k.gram(X, Y)`` is the Gram block over (n, d) and (m, d)
-    input arrays, bit-identical to calling k on every pair."""
+    2 length_scale^2 must be a positive float and amplitude^2 a finite
+    one; amplitude^2 may underflow to 0.  A scaled squared distance that
+    overflows gives the limit exp(-inf) = 0, without a warning."""
     if not (0 < length_scale < math.inf and 0 < amplitude < math.inf):
         raise SchemaError("length_scale and amplitude must be positive and finite")
     two_l2 = 2.0 * length_scale * length_scale
     a2 = amplitude * amplitude
+    if not (0 < two_l2 < math.inf and a2 < math.inf):
+        raise SchemaError(
+            f"length_scale {_clip(length_scale)} and amplitude {_clip(amplitude)} "
+            "give 2 length_scale^2 or amplitude^2 outside the float range")
 
-    def k(x, x2):
-        d = np.asarray(x, dtype=np.float64) - np.asarray(x2, dtype=np.float64)
-        return a2 * float(np.exp(-np.sum(d * d) / two_l2))
-
-    def gram(X, Y):
-        d = X[:, None, :] - Y[None, :, :]
-        d *= d
-        sq = d.sum(axis=-1)
-        np.negative(sq, out=sq)
-        sq /= two_l2
-        np.exp(sq, out=sq)
-        sq *= a2
+    def k(X, Y):
+        with np.errstate(over="ignore"):
+            d = X[:, None, :] - Y[None, :, :]
+            d *= d
+            sq = d.sum(axis=-1)
+            np.negative(sq, out=sq)
+            sq /= two_l2
+            np.exp(sq, out=sq)
+            sq *= a2
         return sq
 
-    k.gram = gram
     return k
 
 
@@ -325,19 +329,12 @@ def _input_array(xs) -> np.ndarray:
     return a[:, None] if a.ndim == 1 else a
 
 
-def _gram(cov_fn, xs, ys) -> np.ndarray:
-    """The Gram block [cov_fn(x, y)] for x in xs, y in ys.  Uses the
-    callable's array form when it has one (see squared_exponential),
-    else calls it once per pair."""
-    gram = getattr(cov_fn, "gram", None)
-    if gram is not None:
-        return gram(_input_array(xs), _input_array(ys))
-    return np.array([[cov_fn(x, y) for y in ys] for x in xs],
-                    dtype=np.float64)
-
-
-def _mean_vec(mean_fn, xs) -> np.ndarray:
-    return np.array([float(mean_fn(x)) for x in xs], dtype=np.float64)
+def _gp_blocks(gp: GPModel, train_xs, test_xs) -> tuple:
+    """m(T), m(X), K(T,T), K(T,X) and C = K(X,X) + noise_var * I for the
+    test inputs T and the training inputs X."""
+    T, X = _input_array(test_xs), _input_array(train_xs)
+    C = gp.cov_fn(X, X) + gp.noise_var * np.eye(len(X))
+    return gp.mean_fn(T), gp.mean_fn(X), gp.cov_fn(T, T), gp.cov_fn(T, X), C
 
 
 def gp_joint(gp: GPModel, train_xs: Sequence, test_xs: Sequence) -> GaussianMeasure:
@@ -347,18 +344,12 @@ def gp_joint(gp: GPModel, train_xs: Sequence, test_xs: Sequence) -> GaussianMeas
     Gram matrices that are not PSD within tolerance are rejected by the
     measure constructor.
     """
-    train_xs, test_xs = list(train_xs), list(test_xs)
-    if not train_xs or not test_xs:
+    if len(train_xs) == 0 or len(test_xs) == 0:
         raise SchemaError("need at least one training and one test input")
-    ktt = _gram(gp.cov_fn, test_xs, test_xs)
-    ktx = _gram(gp.cov_fn, test_xs, train_xs)
-    kxx = _gram(gp.cov_fn, train_xs, train_xs)
-    kxx = kxx + gp.noise_var * np.eye(len(train_xs))
+    mt, mx, ktt, ktx, C = _gp_blocks(gp, train_xs, test_xs)
     cov = np.vstack([np.hstack([ktt, ktx]),
-                     np.hstack([ktx.T, kxx])])
-    mean = np.concatenate([_mean_vec(gp.mean_fn, test_xs),
-                           _mean_vec(gp.mean_fn, train_xs)])
-    return GaussianMeasure(mean, cov)
+                     np.hstack([ktx.T, C])])
+    return GaussianMeasure(np.concatenate([mt, mx]), cov)
 
 
 def gp_posterior_predictive(gp: GPModel, s: TrainingSet, t: TestInputs,
@@ -368,22 +359,23 @@ def gp_posterior_predictive(gp: GPModel, s: TrainingSet, t: TestInputs,
     mean  = m(T) + K(T,X) C^-1 (Y - m(X))
     cov   = K(T,T) - K(T,X) C^-1 K(X,T)
 
-    with C = K(X,X) + noise_var * I (+ optional explicit jitter).
+    with C = K(X,X) + noise_var * I (+ optional explicit jitter).  A mean
+    or covariance that leaves the float range raises NumericalError.
     """
     if len(s) == 0:
         raise SchemaError("posterior predictive needs training data")
-    xs, ys = list(s.inputs), np.asarray(s.outputs, dtype=np.float64)
-    ts = list(t.points)
-    ktt = _gram(gp.cov_fn, ts, ts)
-    ktx = _gram(gp.cov_fn, ts, xs)
-    C = _gram(gp.cov_fn, xs, xs) + gp.noise_var * np.eye(len(xs))
+    mt, mx, ktt, ktx, C = _gp_blocks(gp, s.inputs, t.points)
     if jitter > 0.0:
-        C = C + jitter * np.eye(len(xs))
-    resid = ys - _mean_vec(gp.mean_fn, xs)
-    alpha = _checked_solve(C, resid)
-    # C is checked once.  Two solves, not one stacked solve: stacking the
-    # right-hand sides changes the mean in the last bit.
-    gain = np.linalg.solve(C, ktx.T)
-    mean = _mean_vec(gp.mean_fn, ts) + ktx @ alpha
-    cov = ktt - ktx @ gain
+        C = C + jitter * np.eye(len(C))
+    # Overflow shows as inf or NaN in the result, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.asarray(s.outputs, dtype=np.float64) - mx
+        alpha = _checked_solve(C, resid)
+        # C is checked once.  Two solves, not one stacked solve: stacking
+        # the right-hand sides changes the mean in the last bit.
+        gain = np.linalg.solve(C, ktx.T)
+        mean = mt + ktx @ alpha
+        cov = ktt - ktx @ gain
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NumericalError("the posterior predictive overflows the float range")
     return GaussianMeasure(mean, cov)

@@ -2,17 +2,22 @@
 
     PYTHONPATH=src python tests/data/make_golden.py
 
-Each case directory holds the inputs (model.json, supervised.json,
-pairs.json, test.json) and the rational artifacts that ``invert``,
-``posterior`` and ``predictive`` wrote for them (invert.json,
-posterior.json, predictive.json).  tests/test_golden.py checks that the
-CLI still writes exactly those bytes.  The expected artifacts are a
+Each finite case directory holds the inputs (model.json,
+supervised.json, pairs.json, test.json) and the rational artifacts that
+``invert``, ``posterior`` and ``predictive`` wrote for them (invert.json,
+posterior.json, predictive.json).  Each GP case directory holds a GP
+config and training and test CSVs (gp.json, train.csv, test.csv) and
+what ``gp-predict --output gp-predict.csv`` wrote for them
+(gp-predict.csv, gp-predict.cov.json).  tests/test_golden.py checks
+that the CLI still writes exactly those bytes.  The expected artifacts are a
 reference, not a convenience: rewrite them only for a deliberate change
 of output, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -94,6 +99,40 @@ CASES = {
 }
 
 
+def _csv(header: list, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([repr(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _gp_case(seed: int, dim: int, mean: dict, n_train: int = 12,
+             n_test: int = 5) -> dict:
+    """A GP config with training outputs sin(sum of coordinates) plus
+    noise, on uniform inputs in [-3, 3]^dim."""
+    rng = np.random.default_rng(seed)
+    header = ["x"] if dim == 1 else [f"x{i + 1}" for i in range(dim)]
+    train_x = rng.uniform(-3.0, 3.0, size=(n_train, dim))
+    train_y = np.sin(train_x.sum(axis=1)) + 0.2 * rng.normal(size=n_train)
+    test_x = rng.uniform(-3.0, 3.0, size=(n_test, dim))
+    return {
+        "gp": {"kernel": {"family": "squared-exponential",
+                          "length_scale": float(rng.uniform(0.8, 1.5)),
+                          "amplitude": float(rng.uniform(0.8, 1.5))},
+               "mean": mean,
+               "noise_var": float(rng.uniform(0.05, 0.3))},
+        "train": _csv(header + ["y"], np.column_stack([train_x, train_y]).tolist()),
+        "test": _csv(header, test_x.tolist()),
+    }
+
+
+GP_CASES = {
+    "gp-1d-constant": _gp_case(21, dim=1, mean={"type": "constant", "value": 0.25}),
+    "gp-2d": _gp_case(22, dim=2, mean={"type": "zero"}),
+}
+
+
 def commands(d: Path) -> dict:
     """The CLI call that writes each artifact of a case directory."""
     return {
@@ -106,6 +145,14 @@ def commands(d: Path) -> dict:
     }
 
 
+def gp_command(d: Path, output: Path) -> list:
+    """The CLI call that writes a GP case's prediction CSV to output and
+    its covariance next to it, as output.with_suffix(".cov.json")."""
+    return ["gp-predict", "--input", str(d / "gp.json"),
+            "--data", str(d / "train.csv"), "--test", str(d / "test.csv"),
+            "--output", str(output)]
+
+
 def write_case(name: str, case: dict) -> None:
     d = GOLDEN / name
     d.mkdir(parents=True, exist_ok=True)
@@ -116,6 +163,18 @@ def write_case(name: str, case: dict) -> None:
             sys.exit(f"{name}: {op} failed")
 
 
+def write_gp_case(name: str, case: dict) -> None:
+    d = GOLDEN / name
+    d.mkdir(parents=True, exist_ok=True)
+    (d / "gp.json").write_text(json.dumps(case["gp"], indent=1) + "\n")
+    (d / "train.csv").write_text(case["train"])
+    (d / "test.csv").write_text(case["test"])
+    if main(gp_command(d, d / "gp-predict.csv")) != 0:
+        sys.exit(f"{name}: gp-predict failed")
+
+
 if __name__ == "__main__":
     for name, case in CASES.items():
         write_case(name, case)
+    for name, case in GP_CASES.items():
+        write_gp_case(name, case)

@@ -1,8 +1,11 @@
 """Command-line behavior: artifacts, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +387,43 @@ class TestGpPredict:
                      "--test", test]) == 2
         err = _one_short_error(capsys.readouterr())
         assert err["message"].endswith(f".{param}: wrong type bool")
+
+
+    # Out-of-range parameters and data, run in a fresh interpreter: an
+    # in-process run would not show numpy's warnings on stderr.
+    @pytest.mark.parametrize("kernel, noise_var, train_csv, test_csv, code, kind", [
+        ({"length_scale": 1e-200}, 0.1, "x,y\n0.0,1.0\n1.0,2.0\n", "x\n0.5\n",
+         2, "SchemaError"),
+        ({"amplitude": 1e200}, 0.1, "x,y\n0.0,1.0\n1.0,2.0\n", "x\n0.5\n",
+         2, "SchemaError"),
+        ({}, 1.0, "x,y\n0.0,1e308\n0.3,-1e308\n", "x\n0.5\n",
+         3, "NumericalError"),
+        ({"amplitude": 1e-200}, 0.0, "x,y\n0.0,1.0\n1.0,2.0\n", "x\n0.5\n",
+         3, "SingularMatrixError"),
+        ({}, 1.0, "x,y\n0.0,1.0\n1.0,2.0\n", "x\n1e200\n-1e308\n", 0, None),
+    ], ids=["tiny-length-scale", "huge-amplitude", "overflowing-outputs",
+            "vanishing-amplitude", "far-test-inputs"])
+    def test_out_of_range_input_prints_no_warning(
+            self, tmp_path, kernel, noise_var, train_csv, test_csv, code, kind):
+        cfg = write_json(tmp_path / "gp.json", dict(
+            GP_CONFIG, noise_var=noise_var, kernel=dict(GP_CONFIG["kernel"], **kernel)))
+        train = tmp_path / "train.csv"
+        train.write_text(train_csv)
+        test = tmp_path / "test.csv"
+        test.write_text(test_csv)
+        src = str(Path(probmorph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "probmorph.cli", "gp-predict", "--input", cfg,
+             "--data", str(train), "--test", str(test)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code
+        if kind is None:
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.count("\n") == 1
+            assert json.loads(proc.stderr)["error"]["type"] == kind
 
 
 class TestCheckLaws:

@@ -1,4 +1,4 @@
-"""The CLI reproduces committed rational artifacts byte for byte.
+"""The CLI reproduces committed rational and GP artifacts byte for byte.
 
 The fixtures under tests/data/golden/ were written by
 tests/data/make_golden.py; see its docstring before regenerating them.
@@ -20,13 +20,21 @@ CASES = sorted(p.name for p in make_golden.GOLDEN.iterdir() if p.is_dir())
 
 
 def test_every_generated_case_is_committed():
-    assert CASES == sorted(make_golden.CASES)
+    assert CASES == sorted([*make_golden.CASES, *make_golden.GP_CASES])
 
 
 @pytest.mark.parametrize("op", ["invert", "posterior", "predictive"])
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", sorted(make_golden.CASES))
 def test_artifact_is_byte_identical(tmp_path, case, op):
     d = make_golden.GOLDEN / case
     out = tmp_path / f"{op}.json"
     assert main(make_golden.commands(d)[op] + ["--output", str(out)]) == 0
     assert out.read_bytes() == (d / f"{op}.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(make_golden.GP_CASES))
+def test_gp_artifacts_are_byte_identical(tmp_path, case):
+    d = make_golden.GOLDEN / case
+    assert main(make_golden.gp_command(d, tmp_path / "gp-predict.csv")) == 0
+    for name in ("gp-predict.csv", "gp-predict.cov.json"):
+        assert (tmp_path / name).read_bytes() == (d / name).read_bytes()

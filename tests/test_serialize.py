@@ -288,8 +288,9 @@ class TestGaussianRoundTrips:
             "mean": {"type": "constant", "value": 1.0},
             "noise_var": 0.25})
         assert gp.noise_var == 0.25
-        assert gp.mean_fn(123.0) == 1.0
-        assert abs(gp.cov_fn(0.0, 0.0) - 1.5 ** 2) < 1e-15
+        assert np.array_equal(gp.mean_fn(np.array([[123.0], [-4.0]])), [1.0, 1.0])
+        origin = np.zeros((1, 1))
+        assert abs(gp.cov_fn(origin, origin)[0, 0] - 1.5 ** 2) < 1e-15
 
     @pytest.mark.parametrize("field", ["length_scale", "amplitude", "value", "noise_var"])
     @pytest.mark.parametrize("bad", [True, "1.0", 10 ** 400])

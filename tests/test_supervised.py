@@ -397,6 +397,16 @@ class TestGPRegression:
         pred = gp_posterior_predictive(gp, s, t)
         assert pred.dim == 1 and math.isfinite(pred.mean[0])
 
+    @pytest.mark.parametrize("length, amp", [(1e-200, 1.0), (1e160, 1.0), (1.0, 1e200)])
+    def test_scales_outside_the_float_range_are_refused(self, length, amp):
+        with pytest.raises(pm.SchemaError):
+            squared_exponential(length, amp)
+
+    def test_overflowing_prediction_raises(self):
+        s = TrainingSet(((0.0, 1e308), (0.3, -1e308)))
+        with pytest.raises(pm.NumericalError):
+            gp_posterior_predictive(self.GP, s, TestInputs((0.5,)))
+
     def test_against_finite_conditioning_on_a_grid(self):
         # one training and one test point; discretize the 2-D joint,
         # disintegrate it, and compare the conditional's moments
@@ -420,39 +430,60 @@ class TestGPRegression:
         assert abs(var_f - exact.cov[0, 0]) / exact.cov[0, 0] < 1e-3
 
 
+def per_pair_squared_exponential(length_scale, amplitude):
+    """The squared-exponential covariance of one pair of inputs, as an
+    oracle for the array form."""
+    two_l2 = 2.0 * length_scale * length_scale
+    a2 = amplitude * amplitude
+
+    def k(x, x2):
+        d = np.asarray(x, dtype=np.float64) - np.asarray(x2, dtype=np.float64)
+        return a2 * float(np.exp(-np.sum(d * d) / two_l2))
+
+    return k
+
+
 class TestArrayGram:
     """The array form of squared_exponential against the per-pair loop."""
 
     @staticmethod
     def per_pair(k, xs, ys):
-        return pm.supervised._gram(lambda x, y: k(x, y), xs, ys)
+        return np.array([[k(x, y) for y in ys] for x in xs], dtype=np.float64)
 
     @pytest.mark.parametrize("length, amp", [(1.0, 1.0), (0.37, 2.5), (3.1, 0.2)])
     def test_one_dimensional_inputs(self, length, amp):
         k = squared_exponential(length, amp)
-        xs = list(np.random.default_rng(5).normal(0.0, 2.0, size=40))
-        got = pm.supervised._gram(k, xs, xs)
+        xs = np.random.default_rng(5).normal(0.0, 2.0, size=40)
+        got = k(xs[:, None], xs[:, None])
         assert got.shape == (40, 40)
-        assert np.array_equal(got, self.per_pair(k, xs, xs))
+        assert np.array_equal(
+            got, self.per_pair(per_pair_squared_exponential(length, amp), xs, xs))
 
     def test_two_dimensional_inputs_and_rectangular_blocks(self):
         k = squared_exponential(0.9, 1.4)
+        oracle = per_pair_squared_exponential(0.9, 1.4)
         rng = np.random.default_rng(6)
-        xs = [tuple(p) for p in rng.uniform(-3.0, 3.0, size=(30, 2))]
-        ts = [tuple(p) for p in rng.uniform(-3.0, 3.0, size=(7, 2))]
+        xs = rng.uniform(-3.0, 3.0, size=(30, 2))
+        ts = rng.uniform(-3.0, 3.0, size=(7, 2))
         for a, b in ((xs, xs), (ts, xs), (xs, ts)):
-            got = pm.supervised._gram(k, a, b)
+            got = k(a, b)
             assert got.shape == (len(a), len(b))
-            assert np.array_equal(got, self.per_pair(k, a, b))
+            assert np.array_equal(got, self.per_pair(oracle, a, b))
 
     def test_plain_callable_gives_the_same_prediction(self):
-        k = squared_exponential(1.2, 0.9)
+        two_l2, a2 = 2.0 * 1.2 * 1.2, 0.9 * 0.9
+
+        def user_cov(X, Y):
+            d = X[:, None, :] - Y[None, :, :]
+            return a2 * np.exp(-(d * d).sum(axis=-1) / two_l2)
+
         rng = np.random.default_rng(7)
         xs = rng.uniform(-4.0, 4.0, size=25)
         s = TrainingSet(tuple(zip(xs, np.sin(xs))))
         t = TestInputs(tuple(np.linspace(-4.0, 4.0, 9)))
-        fast = gp_posterior_predictive(GPModel(constant_mean(0.3), k, 0.1), s, t)
+        fast = gp_posterior_predictive(
+            GPModel(constant_mean(0.3), squared_exponential(1.2, 0.9), 0.1), s, t)
         slow = gp_posterior_predictive(
-            GPModel(constant_mean(0.3), lambda x, y: k(x, y), 0.1), s, t)
+            GPModel(lambda X: np.full(len(X), 0.3), user_cov, 0.1), s, t)
         assert np.array_equal(fast.mean, slow.mean)
         assert np.array_equal(fast.cov, slow.cov)
