@@ -82,10 +82,7 @@ def _supervised_from_args(args) -> SupervisedModel:
 def _cmd_posterior(args) -> int:
     model = _supervised_from_args(args)
     s = ser.training_from_jsonable(_load_json(args.data, "training"))
-    res = sup_posterior(model, s)
-    out = ser.measure_to_jsonable(res.measure)
-    out["null_evidence"] = res.null_evidence
-    _emit_json(out, args.output)
+    _emit_json(ser.inference_to_jsonable(sup_posterior(model, s)), args.output)
     return 0
 
 
@@ -93,10 +90,7 @@ def _cmd_predictive(args) -> int:
     model = _supervised_from_args(args)
     s = ser.training_from_jsonable(_load_json(args.data, "training"))
     t = ser.test_inputs_from_jsonable(_load_json(args.test, "test"))
-    res = sup_predictive(model, s, t)
-    out = ser.measure_to_jsonable(res.measure)
-    out["null_evidence"] = res.null_evidence
-    _emit_json(out, args.output)
+    _emit_json(ser.inference_to_jsonable(sup_predictive(model, s, t)), args.output)
     return 0
 
 
@@ -107,8 +101,8 @@ def _cmd_gp_predict(args) -> int:
     pred = gp_posterior_predictive(gp, s, t, jitter=args.jitter)
     _emit(ser.format_predictions_csv(t, pred), args.output)
     if args.output:
-        cov_path = Path(args.output).with_suffix(".cov.json")
-        cov_path.write_text(ser.dumps_canonical(ser.gaussian_to_jsonable(pred)) + "\n")
+        _emit_json(ser.gaussian_to_jsonable(pred),
+                   str(Path(args.output).with_suffix(".cov.json")))
     return 0
 
 
@@ -181,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _error_json(kind: str, exc: Exception) -> str:
     payload = {"error": {"type": kind, "message": str(exc)}}
-    extra = getattr(exc, "witness", None)
-    if extra is not None:
-        payload["error"]["witness"] = ser.label_to_jsonable(extra)
     cond = getattr(exc, "condition", None)
     if cond is not None:
         # JSON has no infinity: an exactly singular matrix reads null.

@@ -22,9 +22,10 @@ from .measures import (FiniteMeasure, FiniteSpace, _element_types, _freeze,
 from .kernels import FiniteKernel, finite_kernel
 from .bayes import BayesModel
 
-# Covariances may be asymmetric by at most this much (then symmetrized).
+# Covariances may be asymmetric by at most this much (then symmetrized),
+# times their scale max(1, largest |entry|), as rounding error grows with it.
 SYMMETRY_TOL = 1e-10
-# Eigenvalues in [-EIG_TOL, 0) are clamped to 0; anything lower is rejected.
+# Eigenvalues in [-EIG_TOL * scale, 0) are clamped to 0; lower ones are rejected.
 EIG_TOL = 1e-10
 # Refuse linear solves beyond this condition-number estimate.
 MAX_CONDITION = 1e12
@@ -51,19 +52,21 @@ def _clean_cov(cov, what: str) -> np.ndarray:
 
     Refuses non-finite entries, enforces symmetry within SYMMETRY_TOL,
     then clamps eigenvalues in [-EIG_TOL, 0) to zero.  Eigenvalues
-    below -EIG_TOL raise.
+    below -EIG_TOL raise.  Both bounds are multiplied by the scale
+    max(1, largest |entry|).
     """
     cov = _finite(cov, what)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise SchemaError(f"{what} must be a square matrix, got {cov.shape}")
+    scale = max(1.0, float(np.max(np.abs(cov), initial=0.0)))
     skew = float(np.max(np.abs(cov - cov.T), initial=0.0))
-    if skew > SYMMETRY_TOL:
-        raise NotPSDError(f"{what} asymmetric by {skew:.3g} (> {SYMMETRY_TOL})")
+    if skew > SYMMETRY_TOL * scale:
+        raise NotPSDError(f"{what} asymmetric by {skew:.3g} (> {SYMMETRY_TOL * scale:.3g})")
     cov = (cov + cov.T) / 2.0
     eigs = np.linalg.eigvalsh(cov)
     lo = float(eigs.min(initial=0.0))
-    if lo < -EIG_TOL:
-        raise NotPSDError(f"{what} has eigenvalue {lo:.3g} below -{EIG_TOL}")
+    if lo < -EIG_TOL * scale:
+        raise NotPSDError(f"{what} has eigenvalue {lo:.3g} below -{EIG_TOL * scale:.3g}")
     if lo < 0.0:
         vals, vecs = np.linalg.eigh(cov)
         vals = np.where(vals < 0.0, 0.0, vals)
@@ -184,8 +187,7 @@ def gauss_swap_blocks(g: GaussianMeasure, head_dim: int) -> GaussianMeasure:
     """Reorder coordinates so the first head_dim entries move to the end."""
     if not 0 < head_dim < g.dim:
         raise SchemaError("head_dim must split the dimensions in two")
-    perm = list(range(head_dim, g.dim)) + list(range(head_dim))
-    return GaussianMeasure(g.mean[perm], g.cov[np.ix_(perm, perm)])
+    return gauss_marginal(g, [*range(head_dim, g.dim), *range(head_dim)])
 
 
 def _condition(K: np.ndarray) -> float:
@@ -230,8 +232,7 @@ def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure,
     return AffineGaussianMap(post_A, post_b, post_cov)
 
 
-def gauss_condition(joint: GaussianMeasure, head_dim: int, y,
-                    jitter: float = 0.0) -> GaussianMeasure:
+def gauss_condition(joint: GaussianMeasure, head_dim: int, y) -> GaussianMeasure:
     """Condition a joint N on its tail block taking the value y,
     returning the head-block conditional.
 
@@ -245,7 +246,7 @@ def gauss_condition(joint: GaussianMeasure, head_dim: int, y,
         np.hstack([np.zeros((tail_dim, head_dim)), np.eye(tail_dim)]),
         np.zeros(tail_dim),
         np.zeros((tail_dim, tail_dim)))
-    post = gauss_invert(proj, joint, jitter=jitter).at(y)
+    post = gauss_invert(proj, joint).at(y)
     return gauss_marginal(post, range(head_dim))
 
 
@@ -393,7 +394,8 @@ def discretize_model_1d(prior: GaussianMeasure, t: AffineGaussianMap,
     pred = gauss_pushforward(t, prior)
     ogrid = GridSpec.around(pred.mean[0], math.sqrt(pred.cov[0, 0]),
                             half_width_sigmas, step_sigmas)
-    obs_space = gauss_discretize(pred, ogrid).space
+    _coverage_check(pred, ogrid)
+    obs_space = FiniteSpace(tuple(float(c) for c in ogrid.centers(0)))
     # Row c is gauss_discretize(t.at([c]), ogrid, strict=False), computed
     # for all parameter cells at once by the same helper.
     noise = float(t.noise[0, 0])

@@ -25,9 +25,8 @@ from .measures import FLOAT, RATIONAL, FiniteSpace
 # ---------------------------------------------------------------------------
 # random generators
 
-def random_space(rng, max_size: int = 6, prefix: str = "x",
-                 min_size: int = 1) -> FiniteSpace:
-    n = int(rng.integers(min_size, max_size + 1))
+def random_space(rng, max_size: int = 6, prefix: str = "x") -> FiniteSpace:
+    n = int(rng.integers(1, max_size + 1))
     return FiniteSpace(tuple(f"{prefix}{i}" for i in range(n)))
 
 
@@ -98,7 +97,7 @@ def random_gaussian(rng, dim: int, min_var: float = 0.1) -> gaussian.GaussianMea
                                     root @ root.T + min_var * np.eye(dim))
 
 
-def _spaces3(rng, scalar, max_size=6):
+def _spaces3(rng, max_size=6):
     xs = random_space(rng, max_size, "x")
     ys = random_space(rng, max_size, "y")
     zs = random_space(rng, max_size, "z")
@@ -119,7 +118,7 @@ def check_composition_laws(rng, trials: int, scalar: str, tol: float) -> list:
     contravariance of pullback, and the pairing duality."""
     bad = []
     for i in range(trials):
-        xs, ys, zs = _spaces3(rng, scalar)
+        xs, ys, zs = _spaces3(rng)
         ws = random_space(rng, 6, "w")
         t1 = random_kernel(rng, xs, ys, scalar)
         t2 = random_kernel(rng, ys, zs, scalar)
@@ -165,7 +164,7 @@ def check_graph_laws(rng, trials: int, scalar: str, tol: float) -> list:
     way block matrices say they must."""
     bad = []
     for i in range(trials):
-        xs, ys, zs = _spaces3(rng, scalar, max_size=5)
+        xs, ys, zs = _spaces3(rng, max_size=5)
         ws = random_space(rng, 5, "w")
         p1 = random_kernel(rng, xs, ys, scalar)
         gp1 = kernels.graph(p1)
@@ -256,7 +255,7 @@ def check_ac_preservation(rng, trials: int, scalar: str, tol: float) -> list:
     density reconstructing the transported measure."""
     bad = []
     for i in range(trials):
-        xs, ys, _ = _spaces3(rng, scalar)
+        xs, ys, _ = _spaces3(rng)
         muw = np.asarray(random_prob(rng, xs, scalar, allow_zero=True).weights)
         nuw = np.asarray(random_prob(rng, xs, scalar, allow_zero=True).weights)
         nuw = np.where(muw == 0, muw, nuw)              # force nu << mu

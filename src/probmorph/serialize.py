@@ -4,6 +4,12 @@ Rational scalars travel as "p/q" strings, floats as JSON numbers.
 ``dumps_canonical`` emits a canonical encoding (sorted keys, shortest
 round-trip floats, so ``1.0`` prints as ``1.0`` and reads back as a
 float), so identical inputs always produce byte-identical artifacts.
+
+``*_to_jsonable`` results are input for ``dumps_canonical``: they may
+hold tuples and numpy scalars as labels, which it writes as arrays and
+numbers; other types JSON cannot hold are refused.  A ``None`` label
+is written as ``null`` (the reader refuses it, as it refuses bools) and
+a ``Fraction`` label as "p/q" text, which reads back as a string.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .bayes import BayesModel, InversionResult
 from .gaussian import AffineGaussianMap, GaussianMeasure
 from .supervised import (
     GPModel,
+    InferenceResult,
     SupervisedModel,
     TestInputs,
     TrainingSet,
@@ -98,15 +105,6 @@ def _built(where: str, make, *args):
         raise SchemaError(f"{where}: {e}") from None
 
 
-def label_to_jsonable(lab):
-    if isinstance(lab, tuple):
-        return [label_to_jsonable(x) for x in lab]
-    if isinstance(lab, (str, int, float, np.integer, np.floating)):
-        return int(lab) if isinstance(lab, np.integer) else (
-            float(lab) if isinstance(lab, np.floating) else lab)
-    raise SchemaError(f"label {lab!r} is not serializable")
-
-
 def label_from_jsonable(v):
     if isinstance(v, list):
         return tuple(label_from_jsonable(x) for x in v)
@@ -114,9 +112,6 @@ def label_from_jsonable(v):
         return v
     raise SchemaError(f"bad label value {_clip(v)}")
 
-
-def space_to_jsonable(s: FiniteSpace) -> list:
-    return [label_to_jsonable(l) for l in s.labels]
 
 def space_from_jsonable(v, where: str = "space") -> FiniteSpace:
     if not isinstance(v, list) or not v:
@@ -128,7 +123,7 @@ def space_from_jsonable(v, where: str = "space") -> FiniteSpace:
 # measures and kernels
 
 def measure_to_jsonable(m: FiniteMeasure) -> dict:
-    return {"labels": space_to_jsonable(m.space),
+    return {"labels": m.space.labels,
             "weights": _jsonable(m.weights),
             "scalar": m.scalar}
 
@@ -143,8 +138,8 @@ def measure_from_jsonable(d, where: str = "measure") -> FiniteMeasure:
 
 
 def kernel_to_jsonable(t: FiniteKernel) -> dict:
-    return {"source": space_to_jsonable(t.source),
-            "target": space_to_jsonable(t.target),
+    return {"source": t.source.labels,
+            "target": t.target.labels,
             "rows": _jsonable(t.rows)}
 
 
@@ -180,13 +175,19 @@ def bayes_model_from_jsonable(d, where: str = "model") -> BayesModel:
 
 def inversion_to_jsonable(r: InversionResult) -> dict:
     return {"kernel": kernel_to_jsonable(r.kernel),
-            "null_points": [label_to_jsonable(l) for l in r.null_points]}
+            "null_points": r.null_points}
+
+
+def inference_to_jsonable(r: InferenceResult) -> dict:
+    """The artifact of ``posterior`` and ``predictive``: the measure and
+    whether the observed labels had zero evidence."""
+    return {**measure_to_jsonable(r.measure), "null_evidence": r.null_evidence}
 
 
 def supervised_model_to_jsonable(m: SupervisedModel) -> dict:
     return {"prior": measure_to_jsonable(m.prior),
-            "inputs": space_to_jsonable(m.inputs),
-            "labels": space_to_jsonable(m.labels),
+            "inputs": m.inputs.labels,
+            "labels": m.labels.labels,
             "supervisors": [_jsonable(k.rows) for k in m.supervisors]}
 
 
@@ -213,8 +214,7 @@ def training_from_jsonable(d, where: str = "training") -> TrainingSet:
 
 
 def training_to_jsonable(s: TrainingSet) -> dict:
-    return {"pairs": [[label_to_jsonable(x), label_to_jsonable(y)]
-                      for x, y in s.pairs]}
+    return {"pairs": s.pairs}
 
 
 def test_inputs_from_jsonable(d, where: str = "test") -> TestInputs:
@@ -223,7 +223,7 @@ def test_inputs_from_jsonable(d, where: str = "test") -> TestInputs:
 
 
 def test_inputs_to_jsonable(t: TestInputs) -> dict:
-    return {"points": [label_to_jsonable(p) for p in t.points]}
+    return {"points": t.points}
 
 
 # ---------------------------------------------------------------------------

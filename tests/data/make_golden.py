@@ -5,7 +5,9 @@
 Each finite case directory holds the inputs (model.json,
 supervised.json, pairs.json, test.json) and the rational artifacts that
 ``invert``, ``posterior`` and ``predictive`` wrote for them (invert.json,
-posterior.json, predictive.json).  Each GP case directory holds a GP
+posterior.json, predictive.json), and the artifacts the same calls
+wrote with ``--backend float`` (invert-float.json, posterior-float.json,
+predictive-float.json).  Each GP case directory holds a GP
 config and training and test CSVs (gp.json, train.csv, test.csv) and
 what ``gp-predict --output gp-predict.csv`` wrote for them
 (gp-predict.csv, gp-predict.cov.json).  tests/test_golden.py checks
@@ -145,6 +147,11 @@ def commands(d: Path) -> dict:
     }
 
 
+# The extra arguments, and the artifact suffix, of each backend a finite
+# case is run on.
+BACKENDS = {"": [], "-float": ["--backend", "float"]}
+
+
 def gp_command(d: Path, output: Path) -> list:
     """The CLI call that writes a GP case's prediction CSV to output and
     its covariance next to it, as output.with_suffix(".cov.json")."""
@@ -159,8 +166,9 @@ def write_case(name: str, case: dict) -> None:
     for stem, obj in case.items():
         (d / f"{stem}.json").write_text(json.dumps(obj, indent=1) + "\n")
     for op, argv in commands(d).items():
-        if main(argv + ["--output", str(d / f"{op}.json")]) != 0:
-            sys.exit(f"{name}: {op} failed")
+        for suffix, extra in BACKENDS.items():
+            if main(argv + extra + ["--output", str(d / f"{op}{suffix}.json")]) != 0:
+                sys.exit(f"{name}: {op}{suffix} failed")
 
 
 def write_gp_case(name: str, case: dict) -> None:

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import probmorph
@@ -325,6 +326,24 @@ class TestGpPredict:
         test.write_text("x\n0.5\n")
         assert main(["gp-predict", "--input", cfg, "--data", str(train),
                      "--test", str(test), "--jitter", "1e-8"]) == 0
+
+    @pytest.mark.parametrize("amplitude", [1e3, 1e6, 1e150])
+    def test_large_amplitude_is_not_refused(self, tmp_path, amplitude):
+        # The rounding error of the predictive covariance grows with
+        # amplitude^2; the PSD tolerances scale with it.
+        cfg = write_json(tmp_path / "gp.json", dict(
+            GP_CONFIG, noise_var=0.1,
+            kernel=dict(GP_CONFIG["kernel"], amplitude=amplitude)))
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n0.0,0.0\n0.5,1.0\n1.0,0.5\n")
+        test = tmp_path / "test.csv"
+        test.write_text("x\n" + "\n".join(map(str, np.linspace(-1.0, 2.0, 7))) + "\n")
+        out = tmp_path / "pred.csv"
+        assert main(["gp-predict", "--input", cfg, "--data", str(train),
+                     "--test", str(test), "--output", str(out)]) == 0
+        cov = np.array(json.loads((tmp_path / "pred.cov.json").read_text())["cov"])
+        assert np.array_equal(cov, cov.T)
+        assert cov.max() <= amplitude ** 2
 
     def test_bad_csv_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "gp.json", GP_CONFIG)

@@ -58,6 +58,14 @@ class TestCovarianceValidation:
         with pytest.raises(NotPSDError):
             GaussianMeasure([0.0, 0.0], [[1.0, 1.01], [1.01, 1.0]])
 
+    @pytest.mark.parametrize("cov", [[[1e6, 1.0], [0.0, 1e6]],
+                                     [[1e6, 2e6], [2e6, 1e6]]])
+    def test_tolerances_scale_but_large_defects_are_rejected(self, cov):
+        with pytest.raises(NotPSDError):
+            GaussianMeasure([0.0, 0.0], cov)
+        g = GaussianMeasure([0.0, 0.0], [[1e6, 1e-5], [0.0, 1e6]])
+        assert np.array_equal(g.cov, g.cov.T)
+
     def test_degenerate_zero_covariance_is_allowed(self):
         g = GaussianMeasure([2.0], [[0.0]])
         assert g.cov[0, 0] == 0.0

@@ -1,4 +1,5 @@
-"""The CLI reproduces committed rational and GP artifacts byte for byte.
+"""The CLI reproduces committed rational, float and GP artifacts byte for
+byte.
 
 The fixtures under tests/data/golden/ were written by
 tests/data/make_golden.py; see its docstring before regenerating them.
@@ -30,6 +31,16 @@ def test_artifact_is_byte_identical(tmp_path, case, op):
     out = tmp_path / f"{op}.json"
     assert main(make_golden.commands(d)[op] + ["--output", str(out)]) == 0
     assert out.read_bytes() == (d / f"{op}.json").read_bytes()
+
+
+@pytest.mark.parametrize("op", ["invert", "posterior", "predictive"])
+@pytest.mark.parametrize("case", sorted(make_golden.CASES))
+def test_float_artifact_is_byte_identical(tmp_path, case, op):
+    d = make_golden.GOLDEN / case
+    out = tmp_path / f"{op}.json"
+    argv = make_golden.commands(d)[op] + make_golden.BACKENDS["-float"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (d / f"{op}-float.json").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(make_golden.GP_CASES))

@@ -112,6 +112,47 @@ class TestMeasureRoundTrip:
                                        "weights": ["1/2", 0.5]})
 
 
+def emitted(labels, weights) -> str:
+    return ser.dumps_canonical(ser.measure_to_jsonable(
+        pm.prob_measure(pm.FiniteSpace(labels), weights)))
+
+
+class TestLabelText:
+    """Labels are written by json.dumps as they stand: tuples as arrays,
+    numpy scalars as numbers, other JSON-less types refused."""
+
+    def test_numpy_scalar_labels(self):
+        assert emitted((np.int64(3), np.float64(0.5)), [F(1, 4), F(3, 4)]) == \
+            '{"labels":[3,0.5],"scalar":"rational","weights":["1/4","3/4"]}'
+
+    def test_nested_tuple_labels(self):
+        inner = pm.product_space([pm.FiniteSpace(("a", "b")), pm.FiniteSpace((0, 1))])
+        s = pm.product_space([inner, pm.FiniteSpace((0.5,))])
+        assert ser.dumps_canonical(ser.measure_to_jsonable(pm.uniform_measure(s))) == (
+            '{"labels":[[["a",0],0.5],[["a",1],0.5],[["b",0],0.5],[["b",1],0.5]],'
+            '"scalar":"rational","weights":["1/4","1/4","1/4","1/4"]}')
+
+    def test_control_character_labels(self):
+        assert emitted(("line\nbreak", "tab\tstop", "nul\x00"), [0.25, 0.25, 0.5]) == (
+            '{"labels":["line\\nbreak","tab\\tstop","nul\\u0000"],'
+            '"scalar":"float","weights":[0.25,0.25,0.5]}')
+
+    def test_frozenset_label_is_refused(self):
+        with pytest.raises(SchemaError, match="frozenset"):
+            emitted((frozenset({1}), "a"), [F(1, 2), F(1, 2)])
+
+    def test_none_label_is_written_as_null_and_refused_on_read(self):
+        text = emitted((None, "a"), [F(1, 2), F(1, 2)])
+        assert text == '{"labels":[null,"a"],"scalar":"rational","weights":["1/2","1/2"]}'
+        with pytest.raises(SchemaError, match="bad label value"):
+            ser.measure_from_jsonable(json.loads(text))
+
+    def test_fraction_label_is_written_as_text_and_read_as_a_string(self):
+        text = emitted((F(1, 3), "a"), [F(1, 2), F(1, 2)])
+        assert text == '{"labels":["1/3","a"],"scalar":"rational","weights":["1/2","1/2"]}'
+        assert ser.measure_from_jsonable(json.loads(text)).space.labels == ("1/3", "a")
+
+
 # Weight lists and backends for the parity test: the JSON reader and the
 # library constructors must accept and refuse the same lists.
 WEIGHT_CASES = [
