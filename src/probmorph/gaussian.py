@@ -50,10 +50,10 @@ def _finite(values, what: str) -> np.ndarray:
 def _clean_cov(cov, what: str) -> np.ndarray:
     """Validate and repair a covariance matrix.
 
-    Refuses non-finite entries, enforces symmetry within SYMMETRY_TOL,
-    then clamps eigenvalues in [-EIG_TOL, 0) to zero.  Eigenvalues
-    below -EIG_TOL raise.  Both bounds are multiplied by the scale
-    max(1, largest |entry|).
+    Refuses non-finite entries, enforces symmetry within SYMMETRY_TOL
+    (halving before adding, so no entry overflows), then clamps
+    eigenvalues in [-EIG_TOL, 0) to zero.  Eigenvalues below -EIG_TOL
+    raise.  Both bounds are multiplied by the scale max(1, largest |entry|).
     """
     cov = _finite(cov, what)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -62,7 +62,7 @@ def _clean_cov(cov, what: str) -> np.ndarray:
     skew = float(np.max(np.abs(cov - cov.T), initial=0.0))
     if skew > SYMMETRY_TOL * scale:
         raise NotPSDError(f"{what} asymmetric by {skew:.3g} (> {SYMMETRY_TOL * scale:.3g})")
-    cov = (cov + cov.T) / 2.0
+    cov = cov / 2.0 + cov.T / 2.0
     eigs = np.linalg.eigvalsh(cov)
     lo = float(eigs.min(initial=0.0))
     if lo < -EIG_TOL * scale:
@@ -71,7 +71,7 @@ def _clean_cov(cov, what: str) -> np.ndarray:
         vals, vecs = np.linalg.eigh(cov)
         vals = np.where(vals < 0.0, 0.0, vals)
         cov = vecs @ np.diag(vals) @ vecs.T
-        cov = (cov + cov.T) / 2.0
+        cov = cov / 2.0 + cov.T / 2.0
     return cov
 
 
@@ -191,10 +191,11 @@ def gauss_swap_blocks(g: GaussianMeasure, head_dim: int) -> GaussianMeasure:
 
 
 def _condition(K: np.ndarray) -> float:
-    """The 2-norm condition number of a symmetric matrix from one
-    eigvalsh: max|lambda| / min|lambda|, infinite when min|lambda| = 0.
-    It equals np.linalg.cond for symmetric K, without an SVD."""
-    mags = np.abs(np.linalg.eigvalsh(K))
+    """np.linalg.cond of a symmetric matrix from one eigvalsh, without an
+    SVD: max|lambda| / min|lambda|, infinite when min|lambda| = 0.  K is
+    scaled by 2^-e first, e the exponent of max|K|: exact, and in range."""
+    e = np.frexp(np.max(np.abs(K)))[1]
+    mags = np.abs(np.linalg.eigvalsh(np.ldexp(K, -e)))
     lo = float(mags.min())
     return math.inf if lo == 0.0 else float(mags.max()) / lo
 

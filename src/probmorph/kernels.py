@@ -22,13 +22,11 @@ from .measures import (
     FiniteMeasure,
     FiniteSpace,
     _as_float_array,
-    _check_nonnegative,
-    _check_sums_to_one,
     _freeze,
     _one_of,
     _scalar_of_dtype,
+    _stochastic_rows,
     arrays_equal,
-    as_scalar_array,
     product_space,
     require_same_scalar,
     zeros_like_backend,
@@ -106,13 +104,9 @@ class FiniteKernel:
 
 def finite_kernel(source: FiniteSpace, target: FiniteSpace, rows,
                   scalar: str | None = None) -> FiniteKernel:
-    """Validate and build a kernel.  Every row must be a probability
-    vector: exactly on the rational backend, within the float
-    tolerances otherwise (tiny negatives clamped)."""
-    t = FiniteKernel(source, target, as_scalar_array(rows, scalar))
-    arr = _check_nonnegative(t.rows, "kernel")
-    _check_sums_to_one(arr.sum(axis=1), "kernel rows")
-    return t if arr is t.rows else FiniteKernel(source, target, arr)
+    """Validate and build a kernel: every row must be a probability vector."""
+    return FiniteKernel(source, target,
+                        _stochastic_rows(rows, (source.size, target.size), "kernel", scalar))
 
 
 def kernels_equal(t1: FiniteKernel, t2: FiniteKernel,

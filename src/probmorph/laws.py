@@ -13,7 +13,7 @@ up by the checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -51,22 +51,19 @@ def random_prob(rng, space: FiniteSpace, scalar: str, allow_zero: bool = False):
         space, random_prob_weights(rng, space.size, scalar, allow_zero), scalar)
 
 
-def random_signed(rng, space: FiniteSpace, scalar: str):
+def _random_values(rng, n: int, scalar: str):
     if scalar == RATIONAL:
         den = int(rng.integers(1, 10))
-        vals = [Fraction(int(v), den) for v in rng.integers(-9, 10, size=space.size)]
-    else:
-        vals = rng.normal(size=space.size)
-    return measures.signed_measure(space, vals, scalar)
+        return [Fraction(int(v), den) for v in rng.integers(-9, 10, size=n)]
+    return rng.normal(size=n)
+
+
+def random_signed(rng, space: FiniteSpace, scalar: str):
+    return measures.signed_measure(space, _random_values(rng, space.size, scalar), scalar)
 
 
 def random_function(rng, space: FiniteSpace, scalar: str):
-    if scalar == RATIONAL:
-        den = int(rng.integers(1, 10))
-        vals = [Fraction(int(v), den) for v in rng.integers(-9, 10, size=space.size)]
-    else:
-        vals = rng.normal(size=space.size)
-    return measures.bounded_function(space, vals, scalar)
+    return measures.bounded_function(space, _random_values(rng, space.size, scalar), scalar)
 
 
 def random_kernel(rng, src: FiniteSpace, tgt: FiniteSpace, scalar: str,
@@ -299,9 +296,9 @@ def check_supervised(rng, trials: int, scalar: str, tol: float) -> list:
         inputs = random_space(rng, 5, "a")
         labels = random_space(rng, 4, "y")
         prior = random_prob(rng, thetas, scalar)
-        sup = tuple(random_kernel(rng, inputs, labels, scalar)
-                    for _ in range(thetas.size))
-        model = supervised.SupervisedModel(prior=prior, supervisors=sup)
+        rows = np.array([[random_prob_weights(rng, labels.size, scalar)
+                          for _ in range(inputs.size)] for _ in range(thetas.size)])
+        model = supervised.SupervisedModel(prior, inputs, labels, rows)
         npairs = int(rng.integers(1, 5))
         pairs = tuple(
             (inputs.labels[int(rng.integers(0, inputs.size))],
@@ -316,9 +313,7 @@ def check_supervised(rng, trials: int, scalar: str, tol: float) -> list:
                 or not measures.measures_equal(whole.measure, oracle.measure, tol)):
             bad.append(_fail(i, "posterior-batch-inversion"))
         stage1 = supervised.posterior(model, s_a)
-        model2 = supervised.SupervisedModel(
-            prior=measures.prob_measure(thetas, stage1.measure.weights),
-            supervisors=sup)
+        model2 = replace(model, prior=measures.prob_measure(thetas, stage1.measure.weights))
         stage2 = supervised.posterior(model2, s_b)
         if not measures.measures_equal(whole.measure, stage2.measure, tol):
             bad.append(_fail(i, "sequential-update"))

@@ -168,7 +168,7 @@ _fractions = np.frompyfunc(_to_fraction, 1, 1)
 
 
 def as_scalar_array(values, scalar: str | None = None) -> np.ndarray:
-    """Coerce ``values`` to a 1-D or 2-D backend array: the one place
+    """Coerce ``values`` (1-D to 3-D) to a backend array: the one place
     where outside values become weights, for the library and JSON alike.
 
     Fractions and 'p/q' strings are rational, floats are float, ints fit
@@ -221,7 +221,8 @@ def _as_float_array(arr: np.ndarray) -> np.ndarray:
 
 
 def require_same_scalar(*objs) -> str:
-    kinds = {o.scalar for o in objs}
+    """The one backend of ``objs``: value objects or backend arrays."""
+    kinds = {_scalar_of_dtype(o) if isinstance(o, np.ndarray) else o.scalar for o in objs}
     if len(kinds) != 1:
         raise BackendMismatchError(
             f"mixed scalar backends {sorted(kinds)}; convert explicitly with as_float()")
@@ -246,35 +247,52 @@ def arrays_equal(a: np.ndarray, b: np.ndarray, scalar: str,
     return bool(np.max(np.abs(a - b), initial=0.0) <= tol)
 
 
+def _at(bad: np.ndarray) -> str:
+    """' at row i' or ' at row (h, x)': the first True of one flag per row."""
+    row = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+    return f" at row {row[0] if len(row) == 1 else row}" if row else ""
+
+
 def _check_nonnegative(arr: np.ndarray, what: str) -> np.ndarray:
-    """Refuse negative entries and non-finite floats.  Float entries in
-    [-NEG_WEIGHT_TOL, 0) are rounding noise: the returned array has
-    them clamped to 0."""
+    """Refuse negative entries, naming their row, and non-finite floats.
+    Float entries in [-NEG_WEIGHT_TOL, 0) are rounding noise: the
+    returned array has them clamped to 0."""
     if arr.dtype != np.float64:
-        if (arr < 0).any():
-            raise SchemaError(f"negative weight in a {what}")
+        neg = arr < 0
+        if neg.any():
+            raise SchemaError(f"negative weight {arr[neg][0]} in a {what}{_at(neg.any(-1))}")
         return arr
     total = float(arr.sum())               # NaN and inf propagate into the sum
     if not math.isfinite(total):
         raise SchemaError(f"non-finite total weight {total} in a {what}")
     low = float(arr.min(initial=0.0))
     if low < -NEG_WEIGHT_TOL:
-        raise SchemaError(f"negative weight {low:.6g} in a {what}")
+        raise SchemaError(f"negative weight {low:.6g} in a {what}{_at((arr == low).any(-1))}")
     return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
 
 
 def _check_sums_to_one(sums: np.ndarray, what: str) -> None:
     """Every sum must be 1: exactly on the rational backend, within
-    PROB_SUM_TOL on the float backend."""
+    PROB_SUM_TOL on the float backend; a refusal names the first bad row."""
     if sums.dtype != np.float64:
-        off = sums[sums != 1]
-        if off.size:
-            raise SchemaError(f"rational {what} must sum to 1, got {off[0]}")
+        bad = sums != 1
+        if bad.any():
+            raise SchemaError(f"rational {what} must sum to 1, got {sums[bad][0]}{_at(bad)}")
         return
-    worst = float(np.max(np.abs(sums - 1.0)))
-    if not worst <= PROB_SUM_TOL:
-        raise SchemaError(f"float {what} must sum to 1, off by {worst:.3g} "
-                          f"(tolerance {PROB_SUM_TOL})")
+    bad = ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)         # NaN is bad too
+    if bad.any():
+        raise SchemaError(f"float {what} must sum to 1, off by {abs(sums[bad][0] - 1.0):.3g} "
+                          f"(tolerance {PROB_SUM_TOL}){_at(bad)}")
+
+
+def _stochastic_rows(values, shape: tuple, what: str, scalar: str | None = None) -> np.ndarray:
+    """``values`` as a backend array of ``shape`` whose rows are probability vectors."""
+    arr = as_scalar_array(values, scalar)
+    if arr.shape != shape:
+        raise SchemaError(f"expected rows of shape {shape}, got {arr.shape}")
+    arr = _check_nonnegative(arr, what)
+    _check_sums_to_one(arr.sum(axis=-1), f"{what} rows")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +355,7 @@ def prob_measure(space: FiniteSpace, weights, scalar: str | None = None) -> Fini
     """A probability measure.  Rational weights must sum to 1 exactly;
     float weights must sum to 1 within 1e-9."""
     m = measure(space, weights, scalar)
-    _check_sums_to_one(m.weights.sum(keepdims=True), "measure weights")
+    _check_sums_to_one(np.asarray(m.weights.sum()), "measure weights")
     return m
 
 

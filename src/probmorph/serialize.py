@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SchemaError, _clip
-from .measures import FiniteMeasure, FiniteSpace, signed_measure
+from .measures import (FiniteMeasure, FiniteSpace, as_scalar_array,
+                       require_same_scalar, signed_measure)
 from .kernels import FiniteKernel, finite_kernel
 from .bayes import BayesModel, InversionResult
 from .gaussian import AffineGaussianMap, GaussianMeasure
@@ -143,19 +144,22 @@ def kernel_to_jsonable(t: FiniteKernel) -> dict:
             "rows": _jsonable(t.rows)}
 
 
-def _kernel_from_rows(source: FiniteSpace, target: FiniteSpace, rows,
-                      where: str) -> FiniteKernel:
-    if (not isinstance(rows, list) or len(rows) != source.size
-            or any(not isinstance(r, list) or len(r) != target.size for r in rows)):
-        raise SchemaError(f"{where}.rows: expected {source.size} rows (lists) "
-                          f"of {target.size} entries")
-    return _built(f"{where}.rows", finite_kernel, source, target, rows)
+def _table(rows, n: int, m: int, where: str) -> np.ndarray:
+    """JSON rows as an (n, m) backend array, refused under ``where``."""
+    if (not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(r, list) or len(r) != m for r in rows)):
+        raise SchemaError(f"{where}.rows: expected {n} rows (lists) of {m} entries")
+    arr = _built(f"{where}.rows", as_scalar_array, rows)
+    if arr.shape != (n, m):
+        raise SchemaError(f"{where}.rows: expected rows of shape {(n, m)}, got {arr.shape}")
+    return arr
 
 
 def kernel_from_jsonable(d, where: str = "kernel") -> FiniteKernel:
     source = space_from_jsonable(_require(d, "source", list, where), f"{where}.source")
     target = space_from_jsonable(_require(d, "target", list, where), f"{where}.target")
-    return _kernel_from_rows(source, target, _require(d, "rows", list, where), where)
+    rows = _table(_require(d, "rows", list, where), source.size, target.size, where)
+    return _built(f"{where}.rows", finite_kernel, source, target, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,7 @@ def supervised_model_to_jsonable(m: SupervisedModel) -> dict:
     return {"prior": measure_to_jsonable(m.prior),
             "inputs": m.inputs.labels,
             "labels": m.labels.labels,
-            "supervisors": [_jsonable(k.rows) for k in m.supervisors]}
+            "supervisors": _jsonable(m.rows)}
 
 
 def supervised_model_from_jsonable(d, where: str = "model") -> SupervisedModel:
@@ -198,9 +202,10 @@ def supervised_model_from_jsonable(d, where: str = "model") -> SupervisedModel:
     sup = _require(d, "supervisors", list, where)
     if len(sup) != prior.space.size:
         raise SchemaError(f"{where}.supervisors: need one kernel per hypothesis")
-    kernels = tuple(_kernel_from_rows(inputs, labels, rows, f"{where}.supervisors[{i}]")
-                    for i, rows in enumerate(sup))
-    return _built(where, SupervisedModel, prior, kernels)
+    tables = [_table(rows, inputs.size, labels.size, f"{where}.supervisors[{i}]")
+              for i, rows in enumerate(sup)]
+    require_same_scalar(prior, *tables)
+    return _built(where, SupervisedModel, prior, inputs, labels, np.stack(tables))
 
 
 def training_from_jsonable(d, where: str = "training") -> TrainingSet:

@@ -1,11 +1,11 @@
 """Supervised models: priors over labeling hypotheses, conditioning on
 training pairs, and predictive distributions on test inputs.
 
-The finite side pairs a prior over hypotheses with one stochastic
-supervisor kernel per hypothesis; observations at a tuple of inputs are
-conditionally independent given the hypothesis.  The Gaussian-process
-side does the analogous computation in closed form on R^d and can be
-cross-checked against generic Gaussian conditioning.
+The finite side pairs a prior over hypotheses with one label
+distribution per (hypothesis, input), all in one array; observations at
+a tuple of inputs are conditionally independent given the hypothesis.
+The Gaussian-process side does the analogous computation in closed form
+on R^d and can be cross-checked against generic Gaussian conditioning.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .measures import (
     FLOAT,
     FiniteMeasure,
     FiniteSpace,
+    _as_float_array,
+    _freeze,
+    _stochastic_rows,
     measures_equal,
     product_space,
     require_same_scalar,
@@ -31,44 +34,33 @@ from .gaussian import GaussianMeasure, _checked_solve
 
 @dataclass(frozen=True, eq=False)
 class SupervisedModel:
-    """A prior over hypotheses plus one supervisor kernel (inputs to
-    labels) per hypothesis, listed in hypothesis-space order."""
+    """A prior over hypotheses plus ``rows[h, x]``, the distribution on
+    ``labels`` of hypothesis h at input x, in one validated frozen array."""
 
     prior: FiniteMeasure
-    supervisors: tuple
+    inputs: FiniteSpace
+    labels: FiniteSpace
+    rows: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.supervisors, tuple):
-            object.__setattr__(self, "supervisors", tuple(self.supervisors))
-        if len(self.supervisors) != self.prior.space.size:
-            raise SchemaError("need exactly one supervisor per hypothesis")
-        srcs = {k.source for k in self.supervisors}
-        tgts = {k.target for k in self.supervisors}
-        if len(srcs) != 1 or len(tgts) != 1:
-            raise SchemaError("supervisors must share input and label spaces")
-        require_same_scalar(self.prior, *self.supervisors)
+        shape = (self.prior.space.size, self.inputs.size, self.labels.size)
+        rows = _stochastic_rows(self.rows, shape, "supervisor")
+        require_same_scalar(self.prior, rows)
         if not self.prior.is_probability():
             raise SchemaError("prior must be a probability measure")
+        object.__setattr__(self, "rows", _freeze(rows))
 
     @property
     def hypotheses(self) -> FiniteSpace:
         return self.prior.space
 
     @property
-    def inputs(self) -> FiniteSpace:
-        return self.supervisors[0].source
-
-    @property
-    def labels(self) -> FiniteSpace:
-        return self.supervisors[0].target
-
-    @property
     def scalar(self) -> str:
         return self.prior.scalar
 
     def as_float(self) -> "SupervisedModel":
-        return SupervisedModel(self.prior.as_float(),
-                               tuple(k.as_float() for k in self.supervisors))
+        return SupervisedModel(self.prior.as_float(), self.inputs, self.labels,
+                               _as_float_array(self.rows))
 
 
 @dataclass(frozen=True)
@@ -126,11 +118,6 @@ def _require_inputs(model: SupervisedModel, xs: tuple) -> None:
             raise SchemaError(f"input {_clip(x)} not in the model's input space")
 
 
-def _supervisor_stack(model: SupervisedModel) -> np.ndarray:
-    """All supervisor rows as one (hypothesis, input, label) array."""
-    return np.stack([k.rows for k in model.supervisors])
-
-
 # The most entries (hypotheses x label tuples) a sampling kernel may have:
 # a rational predictive of 2**20 entries takes about 12 s and 0.4 GB on a
 # 2-CPU VM, and every further test point multiplies that by the label count.
@@ -140,7 +127,7 @@ MAX_JOINT_ENTRIES = 2 ** 20
 def sampling_kernel(model: SupervisedModel, xs: Sequence) -> FiniteKernel:
     """The kernel from hypotheses to label tuples at the given inputs.
 
-    Row theta is the product of the supervisor's rows at x_1..x_m:
+    Row theta is the product of the model's rows (theta, x_1..x_m):
     labels are conditionally independent given the hypothesis.  With a
     single input the target is the label space itself (no 1-tuples).
     The rows are products of validated rows, so they are not validated
@@ -156,7 +143,7 @@ def sampling_kernel(model: SupervisedModel, xs: Sequence) -> FiniteKernel:
         raise SchemaError(
             f"the joint over {len(xs)} input points has {n_h} x {n_y}^{len(xs)} "
             f"entries, over the limit of {MAX_JOINT_ENTRIES}")
-    sup = _supervisor_stack(model)[:, [model.inputs.index(x) for x in xs], :]
+    sup = model.rows[:, [model.inputs.index(x) for x in xs], :]
     rows = sup[:, 0, :]
     for j in range(1, len(xs)):        # product_measure's order
         rows = (rows[:, :, None] * sup[:, j, None, :]).reshape(len(sup), -1)
@@ -174,7 +161,7 @@ _RESCALE_BELOW = 2.0 ** -500
 
 
 def _likelihood(model: SupervisedModel, s: TrainingSet) -> np.ndarray:
-    """prod_i supervisor_theta(y_i | x_i) for every hypothesis theta,
+    """prod_i rows[theta, x_i, y_i] for every hypothesis theta,
     multiplied left to right in the order product_measure uses.
 
     On the float backend the result is known only up to a positive
@@ -182,7 +169,7 @@ def _likelihood(model: SupervisedModel, s: TrainingSet) -> np.ndarray:
     """
     xi = [model.inputs.index(x) for x in s.inputs]
     yi = [model.labels.index(y) for y in s.outputs]
-    factors = _supervisor_stack(model)[:, xi, yi]
+    factors = model.rows[:, xi, yi]
     rescale = model.scalar == FLOAT
     lik = factors[:, 0]
     for j in range(1, len(s)):
@@ -238,19 +225,18 @@ def label_marginals(joint: FiniteMeasure) -> tuple:
 
 
 def restrict_inputs(model: SupervisedModel, keep: Sequence) -> SupervisedModel:
-    """The same model with every supervisor restricted to a subset of
-    the input space (rows dropped, label space unchanged)."""
+    """The same model on a subset of the input space (the rows of the
+    other inputs dropped, label space unchanged)."""
     keep = tuple(keep)
-    sub = FiniteSpace(keep)
     idx = [model.inputs.index(x) for x in keep]
-    supers = tuple(FiniteKernel(sub, k.target, k.rows[idx]) for k in model.supervisors)
-    return SupervisedModel(prior=model.prior, supervisors=supers)
+    return SupervisedModel(model.prior, FiniteSpace(keep), model.labels,
+                           model.rows[:, idx])
 
 
 def restriction_consistency(model: SupervisedModel, s: TrainingSet,
                             t: TestInputs, tol: float = 1e-9) -> bool:
-    """Conditioning and predicting only ever touch the supervisors at
-    the queried inputs, so restricting the model to the inputs that
+    """Conditioning and predicting only ever touch the rows at the
+    queried inputs, so restricting the model to the inputs that
     appear in s and t must change neither posterior nor predictive."""
     used = set(s.inputs) | set(t.points)
     keep = tuple(x for x in model.inputs.labels if x in used)

@@ -182,8 +182,8 @@ def test_criterion_8_supervised_models():
                                    [F(1, 10), F(9, 10)]])
     h2 = finite_kernel(ins, labs, [[F(1, 2), F(1, 2)],
                                    [F(1, 2), F(1, 2)]])
-    model = SupervisedModel(prior=prob_measure(th, [F(1, 2), F(1, 2)]),
-                            supervisors=(h1, h2))
+    model = SupervisedModel(prob_measure(th, [F(1, 2), F(1, 2)]), ins, labs,
+                            np.stack([h1.rows, h2.rows]))
     post = posterior(model, TrainingSet((("a", 1),)))
     assert list(post.measure.weights) == [F(1, 6), F(5, 6)]
     pred = predictive(model, TrainingSet((("a", 1),)), TestInputs(("b",)))

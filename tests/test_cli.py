@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, determinism, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,23 @@ class TestShortRefusals:
         err = _one_short_error(capsys.readouterr())
         assert "pair 1234 has label 5" in err["message"]
 
+    def test_supervisor_entries_of_two_backends_exit_2(self, tmp_path, capsys):
+        model = {"prior": {"labels": ["h0", "h1"], "weights": [0.5, 0.5]},
+                 "inputs": ["a"], "labels": [0, 1], "supervisors": [[[1, 0]], [[0.5, 0.5]]]}
+        code = main(["posterior", "--input", write_json(tmp_path / "m.json", model),
+                     "--data", write_json(tmp_path / "p.json", {"pairs": [["a", 1]]})])
+        assert code == 2
+        assert _one_short_error(capsys.readouterr())["type"] == "BackendMismatchError"
+
+    def test_supervisor_row_off_one_names_its_hypothesis(self, tmp_path, capsys):
+        model = dict(SUPERVISED, supervisors=[SUPERVISED["supervisors"][0],
+                                              [["1/2", "1/2"], ["1/2", "1/3"]]])
+        code = main(["posterior", "--input", write_json(tmp_path / "m.json", model),
+                     "--data", write_json(tmp_path / "p.json", {"pairs": [["a", 1]]})])
+        assert code == 2
+        assert _one_short_error(capsys.readouterr())["message"] == (
+            "model: rational supervisor rows must sum to 1, got 5/6 at row (1, 1)")
+
     def test_predictive_joint_over_the_limit_exits_2_quickly(self, tmp_path, capsys):
         model = {"prior": {"labels": ["h0", "h1"], "weights": ["1/2", "1/2"]},
                  "inputs": ["a", "b"], "labels": [0, 1, 2],
@@ -345,6 +363,33 @@ class TestGpPredict:
         assert np.array_equal(cov, cov.T)
         assert cov.max() <= amplitude ** 2
 
+    def _three_points(self, tmp_path, amplitude):
+        cfg = write_json(tmp_path / "gp.json", dict(
+            GP_CONFIG, noise_var=0.1,
+            kernel=dict(GP_CONFIG["kernel"], amplitude=amplitude)))
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n0,0.1\n0.5,0.3\n1,0.2\n")
+        test = tmp_path / "test.csv"
+        test.write_text("x\n0.25\n0.75\n")
+        return ["gp-predict", "--input", cfg, "--data", str(train), "--test", str(test)]
+
+    @pytest.mark.parametrize("amplitude", [9.5e153, 1.2e154])
+    def test_condition_estimate_does_not_overflow(self, tmp_path, amplitude):
+        # C is well-conditioned, but its eigenvalues exceed the float range
+        out = tmp_path / "pred.csv"
+        assert main(self._three_points(tmp_path, amplitude) + ["--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,mean,sd" and len(lines) == 3
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+
+    def test_overflowing_predictive_exits_3_with_one_json_line(self, tmp_path, capsys):
+        assert main(self._three_points(tmp_path, 1.3e154)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "type": "NumericalError",
+            "message": "the posterior predictive overflows the float range"}
+
     def test_bad_csv_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "gp.json", GP_CONFIG)
         train = tmp_path / "train.csv"
@@ -420,8 +465,9 @@ class TestGpPredict:
         ({"amplitude": 1e-200}, 0.0, "x,y\n0.0,1.0\n1.0,2.0\n", "x\n0.5\n",
          3, "SingularMatrixError"),
         ({}, 1.0, "x,y\n0.0,1.0\n1.0,2.0\n", "x\n1e200\n-1e308\n", 0, None),
+        ({"amplitude": 1.2e154}, 0.1, "x,y\n0,0.1\n", "x\n40\n", 0, None),
     ], ids=["tiny-length-scale", "huge-amplitude", "overflowing-outputs",
-            "vanishing-amplitude", "far-test-inputs"])
+            "vanishing-amplitude", "far-test-inputs", "covariance-near-the-float-max"])
     def test_out_of_range_input_prints_no_warning(
             self, tmp_path, kernel, noise_var, train_csv, test_csv, code, kind):
         cfg = write_json(tmp_path / "gp.json", dict(
@@ -443,6 +489,20 @@ class TestGpPredict:
         else:
             assert proc.stderr.count("\n") == 1
             assert json.loads(proc.stderr)["error"]["type"] == kind
+
+    def test_symmetrizing_a_huge_covariance_does_not_overflow(self, tmp_path):
+        # amplitude^2 = 1.44e308: (cov + cov.T) / 2 overflowed to an sd of
+        # inf, and --output then exited 2 after writing that CSV
+        cfg = write_json(tmp_path / "gp.json", dict(
+            GP_CONFIG, noise_var=0.1, kernel=dict(GP_CONFIG["kernel"], amplitude=1.2e154)))
+        train = tmp_path / "train.csv"
+        train.write_text("x,y\n0,0.1\n")
+        test = tmp_path / "test.csv"
+        test.write_text("x\n40\n")
+        out = tmp_path / "pred.csv"
+        assert main(["gp-predict", "--input", cfg, "--data", str(train),
+                     "--test", str(test), "--output", str(out)]) == 0
+        assert out.read_text() == "x,mean,sd\n40,0,1.2000000000000001e+154\n"
 
 
 class TestCheckLaws:

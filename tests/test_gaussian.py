@@ -3,6 +3,7 @@ cross-checks against the finite machinery on discretization grids."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ class TestCovarianceValidation:
             GaussianMeasure([0.0, 0.0], cov)
         g = GaussianMeasure([0.0, 0.0], [[1e6, 1e-5], [0.0, 1e6]])
         assert np.array_equal(g.cov, g.cov.T)
+
+    def test_entries_near_the_float_maximum_do_not_overflow(self):
+        # symmetrizing halves before adding: (a + a) / 2 overflows here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPSDError, match="eigenvalue"):
+                GaussianMeasure([0, 0], [[1e308, 1.7e308], [1.7e308, 1e308]])
+            g = GaussianMeasure([0, 0], [[1.5e308, 0.0], [0.0, 1.5e308]])
+        assert g.cov.tolist() == [[1.5e308, 0.0], [0.0, 1.5e308]]
 
     def test_degenerate_zero_covariance_is_allowed(self):
         g = GaussianMeasure([2.0], [[0.0]])
@@ -357,3 +367,26 @@ class TestGridRowsAndConditionEstimate:
 
     def test_exactly_singular_matrix_reads_infinite(self):
         assert pm.gaussian._condition(np.ones((2, 2))) == math.inf
+
+    @staticmethod
+    def unscaled_condition(K):
+        """The estimate before the power-of-two scaling, as an oracle."""
+        mags = np.abs(np.linalg.eigvalsh(K))
+        lo = float(mags.min())
+        return math.inf if lo == 0.0 else float(mags.max()) / lo
+
+    @pytest.mark.parametrize("seed", [1, 7, 301])
+    def test_scaling_keeps_the_estimate_of_benchmark_matrices(self, seed, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        w = workloads.GpRegression(seed, tmp_path)
+        gp = pm.serialize.gp_model_from_jsonable(w.config)
+        C = pm.supervised._gp_blocks(gp, w.train_x.tolist(), w.test_x.tolist())[-1]
+        assert pm.gaussian._condition(C) == self.unscaled_condition(C)
+
+    def test_well_conditioned_matrix_near_the_float_maximum(self):
+        # eigvalsh of C itself overflows; C / 2^e has the same ratio
+        K = np.array([[1.44e308, 1.2e308], [1.2e308, 1.44e308]])
+        assert self.unscaled_condition(K) == math.inf
+        assert pm.gaussian._condition(K) == pytest.approx(11.0, rel=1e-12)

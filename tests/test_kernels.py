@@ -59,6 +59,19 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             finite_kernel(X, Y, [[F(3, 2), F(-1, 2)], [F(1), F(0)]])
 
+    def test_refusals_name_the_row(self):
+        with pytest.raises(SchemaError, match=r"^negative weight -1/2 in a kernel at row 1$"):
+            finite_kernel(X, Y, [[F(1), F(0)], [F(3, 2), F(-1, 2)]])
+        with pytest.raises(SchemaError, match=r"^negative weight -0\.5 in a kernel at row 1$"):
+            finite_kernel(X, Y, [[1.0, 0.0], [1.5, -0.5]])
+        with pytest.raises(SchemaError,
+                           match=r"^rational kernel rows must sum to 1, got 5/6 at row 0$"):
+            finite_kernel(X, Y, [[F(1, 2), F(1, 3)], [F(1, 2), F(1, 3)]])
+        # the first row off 1 is named, not the worst one
+        with pytest.raises(SchemaError, match=r"^float kernel rows must sum to 1, off by 0\.1 "
+                                              r"\(tolerance 1e-09\) at row 0$"):
+            finite_kernel(X, Y, [[0.5, 0.6], [0.5, 0.9]])
+
     def test_row_view_is_a_measure(self):
         row = T1.row("x1")
         assert row.space == Y

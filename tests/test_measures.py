@@ -114,6 +114,18 @@ class TestMeasureConstruction:
         with pytest.raises(SchemaError):
             measure(s, [F(3, 2), F(-1, 2)])
 
+    def test_refusals_name_the_value_and_no_row(self):
+        s = FiniteSpace(("a", "b"))
+        with pytest.raises(SchemaError, match=r"^negative weight -1/2 in a measure$"):
+            measure(s, [F(3, 2), F(-1, 2)])
+        with pytest.raises(SchemaError, match=r"^negative weight -0\.5 in a measure$"):
+            measure(s, [1.5, -0.5])
+        with pytest.raises(SchemaError, match=r"^rational measure weights must sum to 1, got 2/3$"):
+            prob_measure(s, [F(1, 3), F(1, 3)])
+        with pytest.raises(SchemaError, match=r"^float measure weights must sum to 1, off by "
+                                              r"0\.01 \(tolerance 1e-09\)$"):
+            prob_measure(s, [0.5, 0.51])
+
     def test_backend_inferred_from_entries(self):
         s = FiniteSpace(("a", "b"))
         assert prob_measure(s, [F(1, 2), F(1, 2)]).scalar == "rational"

@@ -204,6 +204,30 @@ class TestRefusalsCarryTheirPlace:
                            match=r"^model\.supervisors\[0\]\.rows: boolean True"):
             ser.supervised_model_from_jsonable(d)
 
+    def test_supervisor_probabilities_name_the_hypothesis(self):
+        d = {"prior": {"labels": ["t1", "t2"], "weights": ["1/2", "1/2"]},
+             "inputs": ["a", "b"], "labels": [0, 1],
+             "supervisors": [[["1", "0"], ["1", "0"]], [["1", "0"], ["1/2", "1/3"]]]}
+        with pytest.raises(SchemaError, match=r"^model: rational supervisor rows must sum "
+                                              r"to 1, got 5/6 at row \(1, 1\)$"):
+            ser.supervised_model_from_jsonable(d)
+
+    def test_each_supervisor_entry_keeps_its_backend(self):
+        # an entry of ints alone is rational, so it cannot join float entries
+        d = {"prior": {"labels": ["t1", "t2"], "weights": [0.5, 0.5]},
+             "inputs": ["a"], "labels": [0, 1], "supervisors": [[[1, 0]], [[0.5, 0.5]]]}
+        with pytest.raises(pm.BackendMismatchError,
+                           match=r"^mixed scalar backends \['float', 'rational'\]"):
+            ser.supervised_model_from_jsonable(d)
+
+    def test_nested_supervisor_entry_is_refused_in_its_place(self):
+        d = {"prior": {"labels": ["t1", "t2"], "weights": [0.5, 0.5]},
+             "inputs": ["a"], "labels": [0, 1],
+             "supervisors": [[[0.5, 0.5]], [[[0.5, 0.5], [0.5, 0.5]]]]}
+        with pytest.raises(SchemaError, match=r"^model\.supervisors\[1\]\.rows: expected rows "
+                                              r"of shape \(1, 2\), got \(1, 2, 2\)$"):
+            ser.supervised_model_from_jsonable(d)
+
     def test_gaussian(self):
         with pytest.raises(SchemaError, match="^gaussian: mean is not a numeric array: strings"):
             ser.gaussian_from_jsonable({"mean": ["a"], "cov": [[1.0]]})
@@ -221,8 +245,7 @@ class TestRefusalsCarryTheirPlace:
              "inputs": ["a", "b"], "labels": [0, 1], "supervisors": [rows] * 3}
         model = ser.supervised_model_from_jsonable(d)
         assert len(calls) == 3
-        assert all(k.source is model.inputs and k.target is model.labels
-                   for k in model.supervisors)
+        assert model.rows.shape == (3, model.inputs.size, model.labels.size)
 
 
 class TestKernelRoundTrip:
@@ -272,12 +295,12 @@ class TestModelRoundTrips:
         h = pm.finite_kernel(pm.FiniteSpace(("a", "b")), pm.FiniteSpace((0, 1)),
                              [[F(9, 10), F(1, 10)], [F(1, 10), F(9, 10)]])
         model = pm.SupervisedModel(
-            prior=pm.prob_measure(pm.FiniteSpace(("t1", "t2")), [F(1, 2), F(1, 2)]),
-            supervisors=(h, h))
+            pm.prob_measure(pm.FiniteSpace(("t1", "t2")), [F(1, 2), F(1, 2)]),
+            h.source, h.target, np.stack([h.rows, h.rows]))
         back = roundtrip(model, ser.supervised_model_to_jsonable,
                          ser.supervised_model_from_jsonable)
         assert back.inputs == model.inputs
-        assert pm.kernels_equal(back.supervisors[1], h)
+        assert pm.kernels_equal(pm.FiniteKernel(back.inputs, back.labels, back.rows[1]), h)
 
     def test_training_and_test_inputs(self):
         s = pm.TrainingSet((("a", 1), ("b", 0)))

@@ -41,23 +41,111 @@ H1 = finite_kernel(INPUTS, LABELS, [[F(9, 10), F(1, 10)],
                                     [F(1, 10), F(9, 10)]])
 H2 = finite_kernel(INPUTS, LABELS, [[F(1, 2), F(1, 2)],
                                     [F(1, 2), F(1, 2)]])
-MODEL = SupervisedModel(prior=prob_measure(TH, [F(1, 2), F(1, 2)]),
-                        supervisors=(H1, H2))
+
+
+def model_of(prior, *kernels):
+    """The model whose rows at hypothesis i are the rows of kernels[i]."""
+    return SupervisedModel(prior, kernels[0].source, kernels[0].target,
+                           np.stack([k.rows for k in kernels]))
+
+
+MODEL = model_of(prob_measure(TH, [F(1, 2), F(1, 2)]), H1, H2)
 
 
 class TestModelValidation:
     def test_one_supervisor_per_hypothesis(self):
         with pytest.raises(SchemaError):
-            SupervisedModel(prior=MODEL.prior, supervisors=(H1,))
+            model_of(MODEL.prior, H1)
 
     def test_supervisors_share_spaces(self):
+        # One array cannot hold rows over two input spaces: rows over a
+        # one-point input space do not fit the model's two inputs.
         other = finite_kernel(FiniteSpace(("a",)), LABELS, [[F(1), F(0)]])
-        with pytest.raises(SchemaError):
-            SupervisedModel(prior=MODEL.prior, supervisors=(H1, other))
+        with pytest.raises(SchemaError,
+                           match=r"expected rows of shape \(2, 2, 2\), got \(2, 1, 2\)"):
+            SupervisedModel(MODEL.prior, INPUTS, LABELS,
+                            np.stack([other.rows, other.rows]))
 
     def test_test_inputs_must_be_nonempty(self):
         with pytest.raises(SchemaError):
             TestInputs(())
+
+
+P_FLOAT = prob_measure(TH, [0.5, 0.5])
+
+
+class TestArrayModel:
+    """The model is one (hypothesis, input, label) array, coerced and
+    validated once by the constructor."""
+
+    def test_rows_of_the_wrong_shape_are_refused(self):
+        with pytest.raises(SchemaError,
+                           match=r"^expected rows of shape \(2, 2, 2\), got \(2, 2, 3\)$"):
+            SupervisedModel(MODEL.prior, INPUTS, LABELS, [[["1/3"] * 3] * 2] * 2)
+
+    def test_a_negative_entry_is_refused_naming_its_row(self):
+        rows = [[["1", "0"], ["1", "0"]], [["1", "0"], ["11/10", "-1/10"]]]
+        with pytest.raises(SchemaError,
+                           match=r"^negative weight -1/10 in a supervisor at row \(1, 1\)$"):
+            SupervisedModel(MODEL.prior, INPUTS, LABELS, rows)
+        rows = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.1, -0.1]]]
+        with pytest.raises(SchemaError,
+                           match=r"^negative weight -0.1 in a supervisor at row \(1, 1\)$"):
+            SupervisedModel(P_FLOAT, INPUTS, LABELS, rows)
+
+    def test_a_row_off_one_names_its_hypothesis_and_input(self):
+        rows = [[["1", "0"], ["1", "0"]], [["9/10", "0"], ["1/2", "0"]]]
+        with pytest.raises(SchemaError, match=r"^rational supervisor rows must sum to 1, "
+                                              r"got 9/10 at row \(1, 0\)$"):
+            SupervisedModel(MODEL.prior, INPUTS, LABELS, rows)
+        rows = [[[1.0, 0.0], [1.0, 0.0]], [[0.9, 0.0], [0.5, 0.0]]]
+        with pytest.raises(SchemaError, match=r"^float supervisor rows must sum to 1, off by "
+                                              r"0\.1 \(tolerance 1e-09\) at row \(1, 0\)$"):
+            SupervisedModel(P_FLOAT, INPUTS, LABELS, rows)
+
+    def test_tiny_float_negatives_are_clamped(self):
+        rows = np.array([[[1.0, 0.0], [0.5, 0.5]],
+                         [[1.0, -1e-12], [-5e-13, 1.0]]])
+        model = SupervisedModel(P_FLOAT, INPUTS, LABELS, rows)
+        assert model.rows.tolist() == [[[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]
+        rows[1, 0, 1] = -2e-12
+        with pytest.raises(SchemaError, match=r"negative weight -2e-12 .* at row \(1, 0\)"):
+            SupervisedModel(P_FLOAT, INPUTS, LABELS, rows)
+
+    def test_a_float_prior_with_rational_rows_is_a_backend_mismatch(self):
+        with pytest.raises(pm.BackendMismatchError,
+                           match=r"mixed scalar backends \['float', 'rational'\]"):
+            SupervisedModel(P_FLOAT, INPUTS, LABELS, MODEL.rows)
+
+    def test_restrict_inputs_slices_the_rows(self):
+        for model in (MODEL, MODEL.as_float()):
+            for keep, idx in ((("b",), [1]), (("b", "a"), [1, 0])):
+                small = pm.restrict_inputs(model, keep)
+                assert small.inputs.labels == keep and small.labels == LABELS
+                assert small.rows.dtype == model.rows.dtype
+                assert small.rows.tolist() == model.rows[:, idx].tolist()
+
+    def test_as_float_is_the_per_kernel_conversion(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            model, _ = _random_rational_model(rng)
+            # each hypothesis' table converted on its own, entry by entry
+            want = np.stack([np.array([[float(v) for v in row] for row in table])
+                             for table in model.rows])
+            got = model.as_float().rows
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_rows_are_frozen_and_not_the_callers_array(self):
+        mine = np.array([[[0.25, 0.75], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])
+        model = SupervisedModel(P_FLOAT, INPUTS, LABELS, mine)
+        assert not model.rows.flags.writeable
+        assert not np.shares_memory(model.rows, mine)
+        mine[0, 0] = [0.0, 1.0]
+        assert mine.flags.writeable
+        assert model.rows[0, 0].tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            model.rows[0, 0, 0] = 1.0
 
 
 class TestSamplingKernel:
@@ -89,8 +177,10 @@ class TestSamplingKernel:
                     model = model.as_float()
                 xs = [model.inputs.labels[int(i)] for i in rng.integers(model.inputs.size, size=3)]
                 sk = sampling_kernel(model, xs)
-                for k, row in zip(model.supervisors, sk.rows):
-                    want = pm.product_measure([k.row(x) for x in xs]).weights
+                for k, row in zip(model.rows, sk.rows):
+                    want = pm.product_measure(
+                        [pm.FiniteMeasure(model.labels, k[model.inputs.index(x)])
+                         for x in xs]).weights
                     assert want.dtype == row.dtype
                     assert list(want) == list(row)
 
@@ -107,15 +197,13 @@ class TestPosterior:
         assert not res.null_evidence
 
     def test_identical_supervisors_are_uninformative(self):
-        model = SupervisedModel(prior=prob_measure(TH, [F(1, 3), F(2, 3)]),
-                                supervisors=(H2, H2))
+        model = model_of(prob_measure(TH, [F(1, 3), F(2, 3)]), H2, H2)
         res = posterior(model, TrainingSet((("a", 1), ("b", 0))))
         assert pm.measures_equal(res.measure, model.prior)
 
     def test_impossible_evidence_flags_and_returns_prior(self):
         sure = finite_kernel(INPUTS, LABELS, [[F(1), F(0)], [F(1), F(0)]])
-        model = SupervisedModel(prior=prob_measure(TH, [F(1, 2), F(1, 2)]),
-                                supervisors=(sure, sure))
+        model = model_of(prob_measure(TH, [F(1, 2), F(1, 2)]), sure, sure)
         res = posterior(model, TrainingSet((("a", 1),)))
         assert res.null_evidence
         assert pm.measures_equal(res.measure, model.prior)
@@ -143,9 +231,8 @@ class TestPosterior:
         s_all = TrainingSet((("a", 1), ("b", 0), ("a", 0)))
         batch = posterior(MODEL, s_all)
         step1 = posterior(MODEL, TrainingSet(s_all.pairs[:1]))
-        model2 = SupervisedModel(
-            prior=prob_measure(TH, step1.measure.weights),
-            supervisors=MODEL.supervisors)
+        model2 = SupervisedModel(prob_measure(TH, step1.measure.weights),
+                                 MODEL.inputs, MODEL.labels, MODEL.rows)
         step2 = posterior(model2, TrainingSet(s_all.pairs[1:]))
         assert pm.measures_equal(batch.measure, step2.measure)
 
@@ -175,7 +262,7 @@ def _random_rational_model(rng):
     prior = random_prob(rng, thetas, "rational", allow_zero=True)
     sup = tuple(random_kernel(rng, inputs, labels, "rational", allow_zero=True)
                 for _ in range(thetas.size))
-    model = SupervisedModel(prior=prior, supervisors=sup)
+    model = model_of(prior, *sup)
     pairs = tuple((inputs.labels[int(rng.integers(inputs.size))],
                    labels.labels[int(rng.integers(labels.size))])
                   for _ in range(int(rng.integers(1, 5))))
@@ -216,7 +303,7 @@ class TestAgainstBatchInversion:
         prior = random_prob(rng, thetas, "rational")
         sup = tuple(random_kernel(rng, inputs, labels, "rational")
                     for _ in range(thetas.size))
-        model = SupervisedModel(prior=prior, supervisors=sup)
+        model = model_of(prior, *sup)
         pairs = tuple((inputs.labels[int(rng.integers(3))], int(rng.integers(3)))
                       for _ in range(30))
         s = TrainingSet(pairs)
@@ -241,8 +328,7 @@ class TestAgainstBatchInversion:
         p = {"t1": (0.3, 0.7), "t2": (0.4, 0.6)}
         sup = tuple(finite_kernel(INPUTS, LABELS, [list(p[t]), list(p[t])])
                     for t in TH.labels)
-        model = SupervisedModel(prior=prob_measure(TH, [0.5, 0.5]),
-                                supervisors=sup)
+        model = model_of(prob_measure(TH, [0.5, 0.5]), *sup)
         pairs = tuple(("a" if i % 2 else "b", int(i % 5 < 3)) for i in range(2000))
         res = posterior(model, TrainingSet(pairs))
         assert not res.null_evidence
@@ -262,8 +348,7 @@ class TestPredictive:
         assert res.measure.weight(0) == F(13, 30)
 
     def test_single_hypothesis_predicts_its_own_rows(self):
-        single = SupervisedModel(prior=prob_measure(FiniteSpace(("t",)), [F(1)]),
-                                 supervisors=(H1,))
+        single = model_of(prob_measure(FiniteSpace(("t",)), [F(1)]), H1)
         res = predictive(single, TrainingSet(()), TestInputs(("a", "b")))
         sk = sampling_kernel(single, ["a", "b"])
         assert list(res.measure.weights) == list(sk.rows[0])
@@ -284,8 +369,7 @@ class TestPredictive:
         # each row sums to 1 + 9e-10, inside PROB_SUM_TOL; a product of
         # two such rows sums to 1 + 1.8e-9, outside it
         h = finite_kernel(INPUTS, LABELS, [[0.5 + 0.9e-9, 0.5], [0.25 + 0.9e-9, 0.75]])
-        model = SupervisedModel(prior=prob_measure(FiniteSpace(("t",)), [1.0]),
-                                supervisors=(h,))
+        model = model_of(prob_measure(FiniteSpace(("t",)), [1.0]), h)
         res = predictive(model, TrainingSet(()), TestInputs(("a", "b")))
         want = [a * b for a in h.rows[0] for b in h.rows[1]]
         assert list(res.measure.weights) == want
@@ -293,8 +377,7 @@ class TestPredictive:
     def test_joints_over_the_size_limit_are_refused_before_building(self, monkeypatch):
         three = FiniteSpace((0, 1, 2))
         h = finite_kernel(INPUTS, three, [["1/3"] * 3, ["1/2", "1/4", "1/4"]])
-        model = SupervisedModel(prior=prob_measure(TH, [F(1, 2), F(1, 2)]),
-                                supervisors=(h, h))
+        model = model_of(prob_measure(TH, [F(1, 2), F(1, 2)]), h, h)
 
         def never(*args, **kwargs):
             raise AssertionError("the product space was built")
@@ -313,8 +396,7 @@ class TestPredictive:
 
     def test_null_evidence_propagates(self):
         sure = finite_kernel(INPUTS, LABELS, [[F(1), F(0)], [F(1), F(0)]])
-        model = SupervisedModel(prior=prob_measure(TH, [F(1, 2), F(1, 2)]),
-                                supervisors=(sure, sure))
+        model = model_of(prob_measure(TH, [F(1, 2), F(1, 2)]), sure, sure)
         res = predictive(model, TrainingSet((("a", 1),)), TestInputs(("b",)))
         assert res.null_evidence
 
@@ -330,8 +412,7 @@ class TestRestriction:
         from probmorph.laws import random_kernel
         sup = tuple(random_kernel(rng, big, LABELS, "rational")
                     for _ in range(2))
-        model = SupervisedModel(prior=prob_measure(TH, [F(2, 5), F(3, 5)]),
-                                supervisors=sup)
+        model = model_of(prob_measure(TH, [F(2, 5), F(3, 5)]), *sup)
         s = TrainingSet((("b", 1),))
         t = TestInputs(("d",))
         assert restriction_consistency(model, s, t)
