@@ -42,6 +42,8 @@ def _load_json(path: str, what: str):
         raise SchemaError(f"cannot read {what} file {path!r}: {e}") from None
     except ValueError as e:         # bad JSON, or an int over the int/str limit
         raise SchemaError(f"{what} file {path!r} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError(f"{what} file {path!r} is nested too deep to read") from None
 
 
 def _emit(text: str, output: str | None) -> None:

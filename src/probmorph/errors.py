@@ -7,8 +7,12 @@ numerical failures with 3, law-check failures with 4.
 
 def _clip(v, limit: int = 60) -> str:
     """repr(v) for an error message, cut after ``limit`` characters.
-    An exception gives its own text instead of its repr."""
-    r = str(v) if isinstance(v, BaseException) else repr(v)
+    An exception gives its own text instead of its repr, and a value
+    nested too deep to print gives its type."""
+    try:
+        r = str(v) if isinstance(v, BaseException) else repr(v)
+    except RecursionError:
+        return f"<{type(v).__name__} nested too deep to print>"
     return r if len(r) <= limit else f"{r[:limit]}... ({len(r)} characters)"
 
 

@@ -207,25 +207,21 @@ def _checked_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K, rhs)
 
 
-def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure,
-                 jitter: float = 0.0) -> AffineGaussianMap:
+def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure) -> AffineGaussianMap:
     """Bayesian inversion: the map y -> posterior N over the input.
 
     With prior N(m, S) and observation y of N(Ax + b, noise), the
     posterior is N(m + G(y - Am - b), S - G A S) with
     G = S A' (A S A' + noise)^-1.
 
-    No jitter is ever added silently; pass ``jitter`` > 0 to
-    regularize the predictive covariance explicitly.  A singular or
-    too-ill-conditioned predictive covariance raises
-    SingularMatrixError carrying the condition estimate.
+    No jitter is ever added: a singular or too-ill-conditioned
+    predictive covariance raises SingularMatrixError carrying the
+    condition estimate.
     """
     if t.input_dim != prior.dim:
         raise SchemaError("prior dimension does not match map input")
     S, A = prior.cov, t.A
     K = A @ S @ A.T + t.noise
-    if jitter > 0.0:
-        K = K + jitter * np.eye(K.shape[0])
     G = _checked_solve(K, A @ S).T     # S A' K^-1
     post_A = G
     post_b = prior.mean - G @ (A @ prior.mean + t.b)
@@ -264,16 +260,20 @@ class GridSpec:
     step: tuple
 
     def __post_init__(self):
-        low = tuple(float(x) for x in np.atleast_1d(self.lower))
-        up = tuple(float(x) for x in np.atleast_1d(self.upper))
-        st = tuple(float(x) for x in np.atleast_1d(self.step))
+        try:
+            low, up, st = (tuple(float(x) for x in np.atleast_1d(v))
+                           for v in (self.lower, self.upper, self.step))
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"grid bounds and steps must be numbers: {_clip(e, 160)}") from None
         if not len(low) == len(up) == len(st):
             raise SchemaError("grid lower/upper/step lengths differ")
         if len(low) not in (1, 2):
             raise SchemaError("only 1-D and 2-D grids are supported")
         for lo, hi, s in zip(low, up, st):
-            if s <= 0 or hi <= lo:
-                raise SchemaError("grid needs upper > lower and step > 0")
+            if not (-math.inf < lo < hi < math.inf and 0 < s
+                    and (hi - lo) / s < math.inf):      # NaN fails too
+                raise SchemaError("grid needs finite bounds with upper > lower, and "
+                                  "a step > 0 that gives a finite cell count")
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "step", st)
@@ -371,10 +371,8 @@ def gauss_discretize(g: GaussianMeasure, grid: GridSpec,
     ax0 = FiniteSpace(tuple(float(c) for c in c0))
     ax1 = FiniteSpace(tuple(float(c) for c in c1))
     space = product_space([ax0, ax1])
-    total = float(dens.sum())
-    if total <= 0:
-        raise GridError("grid catches no probability mass")
-    return prob_measure(space, _freeze(dens / total))
+    # dens is exp(0) = 1 where quad is smallest, so the total is at least 1.
+    return prob_measure(space, _freeze(dens / dens.sum()))
 
 
 def discretize_model_1d(prior: GaussianMeasure, t: AffineGaussianMap,

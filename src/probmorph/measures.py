@@ -58,7 +58,11 @@ class FiniteSpace:
             object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) == 0:
             raise SchemaError("a finite space needs at least one label")
-        if len(set(self.labels)) != len(self.labels):
+        try:
+            distinct = len(set(self.labels)) == len(self.labels)
+        except TypeError as e:
+            raise SchemaError(f"space labels must be hashable: {e}") from None
+        if not distinct:
             raise SchemaError("space labels must be distinct")
 
     @property
@@ -72,11 +76,16 @@ class FiniteSpace:
     def index(self, label) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise SchemaError(f"label {_clip(label)} not in space") from None
 
     def __contains__(self, label) -> bool:
-        return label in self._index
+        """Whether ``label`` is a label of the space; an unhashable value
+        is none, so it is not in the space."""
+        try:
+            return label in self._index
+        except TypeError:
+            return False
 
     @cached_property
     def factors(self):
@@ -189,6 +198,9 @@ def as_scalar_array(values, scalar: str | None = None) -> np.ndarray:
             frozen = not values.flags.writeable and values.flags.owndata
             return values if frozen else values.copy()
         values = values.tolist()
+    values = np.asarray(values, dtype=object)
+    if values.ndim > 3:             # before np.frompyfunc, which takes at most 32
+        raise SchemaError(f"values of {values.ndim} dimensions; no value takes more than 3")
     if scalar != RATIONAL:          # else _to_fraction checks each value
         types = _element_types(values)
         kinds = {FLOAT if issubclass(t, (float, np.floating)) else RATIONAL
@@ -200,20 +212,26 @@ def as_scalar_array(values, scalar: str | None = None) -> np.ndarray:
         scalar = scalar or (kinds.pop() if kinds else RATIONAL)
     if scalar == FLOAT:
         try:
-            return np.asarray(values, dtype=np.float64)
+            return values.astype(np.float64)
         except (TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"cannot coerce values to float64: {_clip(e, 160)}") from None
-    return np.asarray(_fractions(np.asarray(values, dtype=object)), dtype=object)
+    return np.asarray(_fractions(values), dtype=object)
 
 
 def zeros_like_backend(shape, scalar: str) -> np.ndarray:
     if scalar == FLOAT:
         return np.zeros(shape, dtype=np.float64)
-    return np.full(shape, Fraction(0), dtype=object)
+    if scalar == RATIONAL:
+        return np.full(shape, Fraction(0), dtype=object)
+    raise SchemaError(f"unknown scalar backend {_clip(scalar)}")
 
 
 def _one_of(scalar: str):
-    return Fraction(1) if scalar == RATIONAL else 1.0
+    if scalar == RATIONAL:
+        return Fraction(1)
+    if scalar == FLOAT:
+        return 1.0
+    raise SchemaError(f"unknown scalar backend {_clip(scalar)}")
 
 
 def _as_float_array(arr: np.ndarray) -> np.ndarray:
@@ -328,12 +346,12 @@ class FiniteMeasure:
     def is_nonnegative(self) -> bool:
         return bool((self.weights >= 0).all())
 
-    def is_probability(self, tol: float = PROB_SUM_TOL) -> bool:
+    def is_probability(self) -> bool:
         if not self.is_nonnegative():
             return False
         if self.scalar == RATIONAL:
             return self.total() == 1
-        return abs(float(self.total()) - 1.0) <= tol
+        return abs(float(self.total()) - 1.0) <= PROB_SUM_TOL
 
     def as_float(self) -> "FiniteMeasure":
         return FiniteMeasure(self.space, _as_float_array(self.weights))

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SchemaError, _clip
-from .measures import (FiniteMeasure, FiniteSpace, as_scalar_array,
+from .measures import (FiniteMeasure, FiniteSpace, _freeze, as_scalar_array,
                        require_same_scalar, signed_measure)
 from .kernels import FiniteKernel, finite_kernel
 from .bayes import BayesModel, InversionResult
@@ -107,17 +107,24 @@ def _built(where: str, make, *args):
 
 
 def label_from_jsonable(v):
+    """A JSON label, arrays as tuples.  A label nested too deep to read
+    within the recursion limit is refused; each level takes two frames
+    here, so a label that is read is shallow enough to hash, print and
+    write back."""
     if isinstance(v, list):
-        return tuple(label_from_jsonable(x) for x in v)
+        try:
+            return tuple(label_from_jsonable(x) for x in v)
+        except RecursionError:
+            raise SchemaError("label nested too deep to read") from None
     if isinstance(v, (str, int, float)) and not isinstance(v, bool):
         return v
     raise SchemaError(f"bad label value {_clip(v)}")
 
 
 def space_from_jsonable(v, where: str = "space") -> FiniteSpace:
-    if not isinstance(v, list) or not v:
-        raise SchemaError(f"{where}: expected a nonempty list of labels")
-    return _built(where, FiniteSpace, tuple(label_from_jsonable(x) for x in v))
+    if not isinstance(v, list):
+        raise SchemaError(f"{where}: expected a list of labels")
+    return _built(where, FiniteSpace, map(label_from_jsonable, v))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +140,6 @@ def measure_from_jsonable(d, where: str = "measure") -> FiniteMeasure:
     labels = _require(d, "labels", list, where)
     weights = _require(d, "weights", list, where)
     space = space_from_jsonable(labels, f"{where}.labels")
-    if len(weights) != space.size:
-        raise SchemaError(f"{where}: {len(weights)} weights for {space.size} labels")
     return _built(where, signed_measure, space, weights, d.get("scalar"))
 
 
@@ -146,9 +151,6 @@ def kernel_to_jsonable(t: FiniteKernel) -> dict:
 
 def _table(rows, n: int, m: int, where: str) -> np.ndarray:
     """JSON rows as an (n, m) backend array, refused under ``where``."""
-    if (not isinstance(rows, list) or len(rows) != n
-            or any(not isinstance(r, list) or len(r) != m for r in rows)):
-        raise SchemaError(f"{where}.rows: expected {n} rows (lists) of {m} entries")
     arr = _built(f"{where}.rows", as_scalar_array, rows)
     if arr.shape != (n, m):
         raise SchemaError(f"{where}.rows: expected rows of shape {(n, m)}, got {arr.shape}")
@@ -158,8 +160,8 @@ def _table(rows, n: int, m: int, where: str) -> np.ndarray:
 def kernel_from_jsonable(d, where: str = "kernel") -> FiniteKernel:
     source = space_from_jsonable(_require(d, "source", list, where), f"{where}.source")
     target = space_from_jsonable(_require(d, "target", list, where), f"{where}.target")
-    rows = _table(_require(d, "rows", list, where), source.size, target.size, where)
-    return _built(f"{where}.rows", finite_kernel, source, target, rows)
+    return _built(f"{where}.rows", finite_kernel, source, target,
+                  _require(d, "rows", list, where))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +202,12 @@ def supervised_model_from_jsonable(d, where: str = "model") -> SupervisedModel:
     inputs = space_from_jsonable(_require(d, "inputs", list, where), f"{where}.inputs")
     labels = space_from_jsonable(_require(d, "labels", list, where), f"{where}.labels")
     sup = _require(d, "supervisors", list, where)
-    if len(sup) != prior.space.size:
-        raise SchemaError(f"{where}.supervisors: need one kernel per hypothesis")
     tables = [_table(rows, inputs.size, labels.size, f"{where}.supervisors[{i}]")
               for i, rows in enumerate(sup)]
     require_same_scalar(prior, *tables)
-    return _built(where, SupervisedModel, prior, inputs, labels, np.stack(tables))
+    # np.array, not np.stack: no supervisors give a (0,) array that the
+    # model refuses for its shape.  Frozen, so the model takes it uncopied.
+    return _built(where, SupervisedModel, prior, inputs, labels, _freeze(np.array(tables)))
 
 
 def training_from_jsonable(d, where: str = "training") -> TrainingSet:
@@ -214,7 +216,7 @@ def training_from_jsonable(d, where: str = "training") -> TrainingSet:
     for i, p in enumerate(pairs):
         if not isinstance(p, list) or len(p) != 2:
             raise SchemaError(f"{where}.pairs[{i}]: expected [input, label]")
-        out.append((label_from_jsonable(p[0]), label_from_jsonable(p[1])))
+        out.append(_built(f"{where}.pairs[{i}]", tuple, map(label_from_jsonable, p)))
     return TrainingSet(tuple(out))
 
 
@@ -224,7 +226,7 @@ def training_to_jsonable(s: TrainingSet) -> dict:
 
 def test_inputs_from_jsonable(d, where: str = "test") -> TestInputs:
     points = _require(d, "points", list, where)
-    return _built(where, TestInputs, tuple(label_from_jsonable(p) for p in points))
+    return _built(where, TestInputs, map(label_from_jsonable, points))
 
 
 def test_inputs_to_jsonable(t: TestInputs) -> dict:

@@ -11,6 +11,7 @@ on R^d and can be cross-checked against generic Gaussian conditioning.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,7 +71,10 @@ class TrainingSet:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((x, y) for x, y in self.pairs)
+        try:
+            pairs = tuple((x, y) for x, y in self.pairs)
+        except (TypeError, ValueError):
+            raise SchemaError(f"expected (input, label) pairs, got {_clip(self.pairs)}") from None
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -266,7 +270,8 @@ class GPModel:
     noise_var: float
 
     def __post_init__(self):
-        if not 0 <= self.noise_var < math.inf:     # NaN fails too
+        if not (isinstance(self.noise_var, numbers.Real)
+                and 0 <= self.noise_var < math.inf):     # NaN fails too
             raise SchemaError("noise variance must be finite and nonnegative")
 
 
@@ -286,7 +291,8 @@ def squared_exponential(length_scale: float = 1.0, amplitude: float = 1.0):
     2 length_scale^2 must be a positive float and amplitude^2 a finite
     one; amplitude^2 may underflow to 0.  A scaled squared distance that
     overflows gives the limit exp(-inf) = 0, without a warning."""
-    if not (0 < length_scale < math.inf and 0 < amplitude < math.inf):
+    if not all(isinstance(v, numbers.Real) and 0 < v < math.inf
+               for v in (length_scale, amplitude)):
         raise SchemaError("length_scale and amplitude must be positive and finite")
     two_l2 = 2.0 * length_scale * length_scale
     a2 = amplitude * amplitude

@@ -80,6 +80,12 @@ class TestDisintegrate:
         with pytest.raises(SchemaError):
             disintegrate(pm.signed_measure(prod, [F(1), F(-1), F(1, 2), F(1, 2)]))
 
+    def test_rejects_three_factors(self):
+        three = pm.product_measure([prob_measure(X, [F(1, 2), F(1, 2)])] * 3)
+        assert len(three.space.factors) == 3
+        with pytest.raises(SchemaError, match="^disintegration needs a binary product space$"):
+            disintegrate(three)
+
     def test_conditional_of_a_product_is_the_second_factor(self):
         mx = prob_measure(X, [F(1, 3), F(2, 3)])
         my = prob_measure(FiniteSpace(("y0", "y1")), [F(1, 4), F(3, 4)])
@@ -119,6 +125,14 @@ class TestBayesInvert:
     def test_verification_rejects_a_perturbed_kernel(self):
         wrong = finite_kernel(X, TH, [[F(1, 2), F(1, 2)], [F(1, 7), F(6, 7)]])
         assert not verify_inversion(MODEL, wrong)
+
+    def test_kernels_on_the_wrong_spaces(self):
+        inv = bayes_invert(MODEL).kernel
+        with pytest.raises(SchemaError, match="^candidate kernel has the wrong spaces$"):
+            verify_inversion(MODEL, SAMPLING)         # runs TH -> X, not X -> TH
+        assert not ae_equal(inv, SAMPLING, PRIOR)       # different source and target
+        with pytest.raises(SchemaError, match="^reference measure lives on the wrong space$"):
+            ae_equal(inv, inv, PRIOR)                  # PRIOR is on TH, inv's source X
 
     def test_joint_equals_the_graph_pushforward(self):
         # the joint is built by broadcasting; the dense graph is the oracle

@@ -259,6 +259,45 @@ class TestShortRefusals:
         assert _one_short_error(capsys.readouterr())["message"] == (
             "model: rational supervisor rows must sum to 1, got 5/6 at row (1, 1)")
 
+    @staticmethod
+    def _nested(value, depth: int) -> str:
+        return "[" * depth + json.dumps(value) + "]" * depth
+
+    # Run in a fresh interpreter: how deep a document json.load reads
+    # depends on the depth of the stack it is called from.
+    @pytest.mark.parametrize("where, message", [
+        ("prior weight", "model.prior: values of 40 dimensions; no value takes more than 3"),
+        ("kernel row entry",
+         "model.sampling.rows: values of 40 dimensions; no value takes more than 3"),
+        ("document", "model file 'model.json' is nested too deep to read"),
+        ("label", "model.prior.labels: label nested too deep to read"),
+    ], ids=["prior-weight", "kernel-row-entry", "document", "label"])
+    def test_deep_nesting_exits_2(self, tmp_path, where, message):
+        model = json.loads(json.dumps(MODEL))
+        if where == "prior weight":         # "1/2" inside 40 lists
+            model["prior"] = {"labels": ["t"], "weights": "@"}
+            model["sampling"] = {"source": ["t"], "target": ["x"], "rows": [["1"]]}
+            text = json.dumps(model).replace('"@"', self._nested("1/2", 40))
+        elif where == "kernel row entry":   # 40 dimensions with the rows
+            model["prior"] = {"labels": ["t"], "weights": ["1"]}
+            model["sampling"] = {"source": ["t"], "target": ["x"], "rows": [["@"]]}
+            text = json.dumps(model).replace('"@"', self._nested("1/2", 38))
+        elif where == "document":
+            text = '{"prior": ' + "[" * 200_000
+        else:
+            model["prior"]["labels"][0] = model["sampling"]["source"][0] = "@"
+            text = json.dumps(model).replace('"@"', self._nested("t1", 900))
+        (tmp_path / "model.json").write_text(text)
+        src = str(Path(probmorph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "probmorph.cli", "invert", "--input", "model.json"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == {"type": "SchemaError", "message": message}
+
     def test_predictive_joint_over_the_limit_exits_2_quickly(self, tmp_path, capsys):
         model = {"prior": {"labels": ["h0", "h1"], "weights": ["1/2", "1/2"]},
                  "inputs": ["a", "b"], "labels": [0, 1, 2],
@@ -389,6 +428,15 @@ class TestGpPredict:
         assert json.loads(err)["error"] == {
             "type": "NumericalError",
             "message": "the posterior predictive overflows the float range"}
+
+    def test_missing_csv_exits_2_with_the_os_error(self, tmp_path, capsys):
+        cfg, _, test = self._files(tmp_path)
+        missing = tmp_path / "missing.csv"
+        assert main(["gp-predict", "--input", cfg, "--data", str(missing),
+                     "--test", test]) == 2
+        assert _one_short_error(capsys.readouterr()) == {
+            "type": "OSError",
+            "message": f"[Errno 2] No such file or directory: {str(missing)!r}"}
 
     def test_bad_csv_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "gp.json", GP_CONFIG)

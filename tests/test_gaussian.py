@@ -193,11 +193,11 @@ class TestInversion:
             gauss_invert(t, prior)
         assert not math.isfinite(exc.value.condition)
 
-    def test_no_silent_jitter_but_explicit_jitter_works(self):
+    def test_uninformative_observation_leaves_the_prior_untouched(self):
+        # A = 0 with a little noise: the predictive covariance is the noise
         prior = GaussianMeasure([0.5], [[1.0]])
-        t = AffineGaussianMap([[0.0]], [0.0], [[0.0]])
-        post = gauss_invert(t, prior, jitter=1e-6).at([0.0])
-        # an uninformative observation leaves the prior untouched
+        t = AffineGaussianMap([[0.0]], [0.0], [[1e-6]])
+        post = gauss_invert(t, prior).at([0.0])
         assert gaussians_equal(post, prior)
 
     def test_ill_conditioned_cutoff_is_enforced(self):

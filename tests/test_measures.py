@@ -1,6 +1,7 @@
 """Spaces, measures, observables: construction rules, norms, products,
 convolution and densities."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import probmorph as pm
 from probmorph import (
     BackendMismatchError,
     BoundedFunction,
@@ -31,6 +33,7 @@ from probmorph import (
     tv_norm,
     uniform_measure,
 )
+from probmorph.measures import zeros_like_backend
 
 
 class TestFiniteSpace:
@@ -48,6 +51,9 @@ class TestFiniteSpace:
         assert "c" in s and "z" not in s
         with pytest.raises(SchemaError):
             s.index("z")
+
+    def test_an_unhashable_value_is_no_label(self):
+        assert [1, 2] not in FiniteSpace(("a", (1, 2)))
 
     def test_product_is_row_major(self):
         x = FiniteSpace(("a", "b"))
@@ -226,6 +232,24 @@ class TestWeightPolicy:
         assert len(str(info.value)) < 400
         assert "5002 characters" in str(info.value) or "5000 digits" in str(info.value)
 
+    @pytest.mark.parametrize("scalar", [None, "rational", "float"])
+    @pytest.mark.parametrize("depth", [4, 33, 40, 64, 100])
+    def test_values_nested_deeper_than_three_are_refused(self, depth, scalar):
+        value = "1" if scalar != "float" else 1.0
+        for _ in range(depth):
+            value = [value]
+        with pytest.raises(SchemaError, match=r"^values of \d+ dimensions; "
+                                              "no value takes more than 3$"):
+            signed_measure(FiniteSpace(("a",)), value, scalar)
+
+    def test_a_value_too_deep_to_print_is_named_by_its_type(self):
+        value = "1/2"
+        for _ in range(5000):
+            value = [value]
+        with pytest.raises(SchemaError, match="^ragged or nested value <list nested "
+                                              "too deep to print> is not a number$"):
+            signed_measure(self.S, [value, "1/2"])
+
     def test_ragged_rows_are_refused(self):
         from probmorph import finite_kernel
         for scalar in (None, "rational", "float"):
@@ -391,6 +415,14 @@ class TestObservables:
         m = prob_measure(s, [F(3, 10), F(7, 10)])
         assert integrate(g, m) == F(39, 50)
 
+    def test_sup_norm_and_float_copy(self):
+        g = bounded_function(FiniteSpace(("a", "b")), [F(-9, 5), F(3, 2)])
+        assert g.sup_norm() == F(9, 5)
+        h = g.as_float()
+        assert h.scalar == "float" and g.scalar == "rational"
+        assert h.values.tolist() == [-1.8, 1.5]
+        assert h.sup_norm() == 1.8
+
     def test_expectation_of_numeric_labels(self):
         m = prob_measure(FiniteSpace((0.0, 1.0, 2.0)), [0.25, 0.5, 0.25])
         assert float(expectation(m)) == pytest.approx(1.0)
@@ -398,3 +430,43 @@ class TestObservables:
     def test_expectation_with_explicit_function(self):
         m = prob_measure(FiniteSpace(("a", "b")), [F(1, 4), F(3, 4)])
         assert expectation(m, lambda lab: F(1) if lab == "b" else F(0)) == F(3, 4)
+
+
+S2 = FiniteSpace(("a", "b"))
+MODEL2 = pm.SupervisedModel(uniform_measure(S2), S2, S2, [[[1, 0], [0, 1]]] * 2)
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dirac_measure(S2, "a", "bogus"), "unknown scalar backend 'bogus'"),
+    (lambda: pm.identity_kernel(S2, "Float"), "unknown scalar backend 'Float'"),
+    (lambda: uniform_measure(S2, "rationl"), "unknown scalar backend 'rationl'"),
+    (lambda: zeros_like_backend(2, "decimal"), "unknown scalar backend 'decimal'"),
+    (lambda: FiniteSpace(([1], [2])),
+     "space labels must be hashable: unhashable type: 'list'"),
+    (lambda: S2.index([1]), "label [1] not in space"),
+    (lambda: pm.posterior(MODEL2, pm.TrainingSet((("a", [1]),))),
+     "observed labels [1] outside the label space"),
+    (lambda: pm.predictive(MODEL2, pm.TrainingSet(()), pm.TestInputs(([1],))),
+     "input [1] not in the model's input space"),
+    (lambda: pm.MeasurableMap(S2, S2, ([1], "a")), "assignment value [1] not in target"),
+    (lambda: pm.TrainingSet(((1, 2, 3),)), "expected (input, label) pairs"),
+    (lambda: pm.TrainingSet((1,)), "expected (input, label) pairs"),
+    (lambda: pm.GridSpec(("a",), (1.0,), (0.1,)), "grid bounds and steps must be numbers"),
+    (lambda: pm.GridSpec((NAN,), (1.0,), (0.1,)), "grid needs finite bounds"),
+    (lambda: pm.GridSpec((0.0,), (INF,), (0.1,)), "grid needs finite bounds"),
+    (lambda: pm.GridSpec((0.0,), (1.0,), (NAN,)), "grid needs finite bounds"),
+    (lambda: pm.GridSpec((-1e308,), (1e308,), (1.0,)), "grid needs finite bounds"),
+    (lambda: pm.GPModel(pm.zero_mean(), pm.squared_exponential(), "x"),
+     "noise variance must be finite and nonnegative"),
+    (lambda: pm.squared_exponential("a"),
+     "length_scale and amplitude must be positive and finite"),
+], ids=["dirac-backend", "identity-backend", "uniform-backend", "zeros-backend",
+        "unhashable-labels", "unhashable-index", "posterior-list-label",
+        "predictive-list-point", "map-list-assignment", "triple-pair", "bare-pair",
+        "grid-string", "grid-nan", "grid-inf", "grid-nan-step", "grid-overflowing-cells",
+        "gp-string-noise", "se-string-length"])
+def test_library_constructors_refuse_bad_input_with_schema_error(build, message):
+    with pytest.raises(SchemaError) as info:
+        build()
+    assert str(info.value).startswith(message)

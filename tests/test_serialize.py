@@ -166,26 +166,42 @@ WEIGHT_CASES = [
 ]
 
 
+def _both_routes(build, read, doc):
+    """(library value or refusal text, reader value or refusal text)."""
+    out = []
+    for make in (build, lambda: read(json.loads(json.dumps(doc)))):
+        try:
+            out.append(make())
+        except SchemaError as e:
+            out.append(str(e))
+    return out
+
+
 @pytest.mark.parametrize("weights, scalar", WEIGHT_CASES)
 def test_json_and_library_routes_agree_on_weights(weights, scalar):
+    """The reader and the library accept and refuse the same weights, with
+    the same message after the reader's place; kernel rows too (no scalar
+    field)."""
     space = pm.FiniteSpace(("a", "b"))
     d = {"labels": ["a", "b"], "weights": weights}
     if scalar is not None:
         d["scalar"] = scalar
-    text = json.dumps(d)
-    try:
-        lib = pm.signed_measure(space, weights, scalar)
-    except SchemaError:
-        lib = None
-    try:
-        back = ser.measure_from_jsonable(json.loads(text))
-    except SchemaError as e:
-        assert lib is None, f"JSON refused what the library took: {e}"
-        assert str(e).startswith("measure: ")
-        return
-    assert lib is not None, "JSON took what the library refused"
-    assert back.scalar == lib.scalar
-    assert pm.measures_equal(back, lib, tol=0.0)
+    lib, back = _both_routes(lambda: pm.signed_measure(space, weights, scalar),
+                             ser.measure_from_jsonable, d)
+    if isinstance(lib, str) or isinstance(back, str):
+        assert back == f"measure: {lib}"
+    else:
+        assert back.scalar == lib.scalar
+        assert pm.measures_equal(back, lib, tol=0.0)
+    if scalar is None:
+        source = pm.FiniteSpace(("x",))
+        lib, back = _both_routes(lambda: pm.finite_kernel(source, space, [weights]),
+                                 ser.kernel_from_jsonable,
+                                 {"source": ["x"], "target": ["a", "b"], "rows": [weights]})
+        if isinstance(lib, str) or isinstance(back, str):
+            assert back == f"kernel.rows: {lib}"
+        else:
+            assert pm.kernels_equal(back, lib, tol=0.0)
 
 
 class TestRefusalsCarryTheirPlace:
@@ -193,7 +209,8 @@ class TestRefusalsCarryTheirPlace:
         with pytest.raises(SchemaError, match=r"^kernel\.rows: bad rational '1/0'"):
             ser.kernel_from_jsonable({"source": ["x"], "target": ["u", "v"],
                                       "rows": [["1/0", "1"]]})
-        with pytest.raises(SchemaError, match=r"^kernel\.rows: expected 1 rows"):
+        with pytest.raises(SchemaError, match=r"^kernel\.rows: expected rows of shape "
+                                              r"\(1, 2\), got \(1, 1\)$"):
             ser.kernel_from_jsonable({"source": ["x"], "target": ["u", "v"],
                                       "rows": [["1"]]})
 
@@ -227,6 +244,75 @@ class TestRefusalsCarryTheirPlace:
         with pytest.raises(SchemaError, match=r"^model\.supervisors\[1\]\.rows: expected rows "
                                               r"of shape \(1, 2\), got \(1, 2, 2\)$"):
             ser.supervised_model_from_jsonable(d)
+
+    @pytest.mark.parametrize("read, doc, message", [
+        (ser.measure_from_jsonable, {"labels": ["a", "b"], "weights": ["1"]},
+         "measure: expected 2 weights, got shape (1,)"),
+        (ser.measure_from_jsonable, {"labels": [], "weights": []},
+         "measure.labels: a finite space needs at least one label"),
+        (ser.measure_from_jsonable, {"labels": [None], "weights": ["1"]},
+         "measure.labels: bad label value None"),
+        (ser.kernel_from_jsonable, {"source": ["x"], "target": ["u"], "rows": [["1"], ["1"]]},
+         "kernel.rows: expected rows of shape (1, 1), got (2, 1)"),
+        (ser.kernel_from_jsonable, {"source": ["x", "y"], "target": ["u", "v"],
+                                    "rows": [["1", "0"], ["1"]]},
+         "kernel.rows: ragged or nested value ['1', '0'] is not a number"),
+        (ser.kernel_from_jsonable, {"source": ["x"], "target": ["u"],
+                                    "rows": [[[["1"]]]]},
+         "kernel.rows: values of 4 dimensions; no value takes more than 3"),
+        (ser.supervised_model_from_jsonable,
+         {"prior": {"labels": ["t1", "t2"], "weights": ["1/2", "1/2"]}, "inputs": ["a"],
+          "labels": [0, 1], "supervisors": [[["1", "0"]]]},
+         "model: expected rows of shape (2, 1, 2), got (1, 1, 2)"),
+        (ser.supervised_model_from_jsonable,
+         {"prior": {"labels": ["t"], "weights": ["1"]}, "inputs": ["a"],
+          "labels": [0, 1], "supervisors": []},
+         "model: expected rows of shape (1, 1, 2), got (0,)"),
+        (ser.supervised_model_from_jsonable,
+         {"prior": {"labels": ["t"], "weights": ["1"]}, "inputs": ["a"],
+          "labels": [0, 1], "supervisors": [[["1"]]]},
+         "model.supervisors[0].rows: expected rows of shape (1, 2), got (1, 1)"),
+        (ser.training_from_jsonable, {"pairs": [["a", 0], ["b", True]]},
+         "training.pairs[1]: bad label value True"),
+        (ser.test_inputs_from_jsonable, {"points": ["a", {}]},
+         "test: bad label value {}"),
+    ], ids=["weight-count", "no-labels", "null-label", "row-count", "ragged-rows",
+            "four-dimensions", "hypothesis-count", "no-supervisors", "supervisor-shape",
+            "bool-training-label", "dict-test-point"])
+    def test_constructor_refusals_keep_the_reader_place(self, read, doc, message):
+        with pytest.raises(SchemaError) as info:
+            read(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("read, key", [
+        (lambda d: ser.measure_from_jsonable({"labels": [d, "b"], "weights": ["1", "0"]}),
+         "measure.labels"),
+        (lambda d: ser.training_from_jsonable({"pairs": [["a", d]]}), "training.pairs[0]"),
+        (lambda d: ser.test_inputs_from_jsonable({"points": [d]}), "test"),
+    ], ids=["space", "training", "test"])
+    def test_label_too_deep_to_read_is_refused_in_its_place(self, read, key):
+        deep = "a"
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(SchemaError) as info:
+            read(deep)
+        assert str(info.value) == f"{key}: label nested too deep to read"
+
+    def test_kernel_read_coerces_its_rows_once(self, monkeypatch):
+        calls = []
+        real = pm.measures.as_scalar_array
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pm.measures, "as_scalar_array", counted)
+        monkeypatch.setattr(ser, "as_scalar_array", counted)
+        rows = [["1/2", "1/2"], ["1", "0"]]
+        t = ser.kernel_from_jsonable({"source": ["x", "y"], "target": ["u", "v"],
+                                      "rows": rows})
+        assert len(calls) == 1 and calls[0][0] is rows
+        assert t.rows[0, 0] == F(1, 2)
 
     def test_gaussian(self):
         with pytest.raises(SchemaError, match="^gaussian: mean is not a numeric array: strings"):
@@ -376,6 +462,13 @@ class TestGaussianRoundTrips:
         with pytest.raises(SchemaError, match="^gp: noise variance"):
             ser.gp_model_from_jsonable(d)
 
+    def test_unknown_mean_type_rejected(self):
+        with pytest.raises(SchemaError, match=r"^gp\.mean\.type: unsupported type 'linear'$"):
+            ser.gp_model_from_jsonable({
+                "kernel": {"family": "squared-exponential", "length_scale": 1,
+                           "amplitude": 1},
+                "mean": {"type": "linear"}, "noise_var": 0.1})
+
     def test_unknown_kernel_family_rejected(self):
         with pytest.raises(SchemaError):
             ser.gp_model_from_jsonable({
@@ -401,6 +494,12 @@ class TestCsv:
         p.write_text("x\n0.0\n")
         with pytest.raises(SchemaError):
             ser.read_training_csv(p)
+
+    def test_test_csv_without_rows_rejected(self, tmp_path):
+        p = tmp_path / "test.csv"
+        p.write_text("x\n")
+        with pytest.raises(SchemaError, match="no test points$"):
+            ser.read_test_csv(p)
 
     def test_predictions_formatting(self):
         t = pm.TestInputs((0.0,))

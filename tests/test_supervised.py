@@ -365,6 +365,11 @@ class TestPredictive:
         only_b = predictive(MODEL, TrainingSet((("a", 1),)), TestInputs(("b",)))
         assert pm.measures_equal(margs[1], only_b.measure)
 
+    def test_a_joint_on_a_plain_space_is_its_own_marginal(self):
+        res = predictive(MODEL, TrainingSet((("a", 1),)), TestInputs(("b",)))
+        assert res.measure.space.factors is None
+        assert label_marginals(res.measure) == (res.measure,)
+
     def test_float_rows_at_the_tolerance_predict_at_two_points(self):
         # each row sums to 1 + 9e-10, inside PROB_SUM_TOL; a product of
         # two such rows sums to 1 + 1.8e-9, outside it
