@@ -85,6 +85,16 @@ def predictive_measure(model: BayesModel) -> FiniteMeasure:
     return pushforward(model.sampling, model.prior)
 
 
+def _conditionals(w: np.ndarray, fallback) -> tuple:
+    """The conditioning step: each row of ``w`` divided by its mass, and
+    ``fallback`` in the rows of zero mass, with the mask of those rows."""
+    mass = w.sum(axis=1)
+    null = mass == 0
+    rows = w / np.where(null, 1, mass)[:, None]
+    rows[null] = fallback
+    return rows, null
+
+
 def disintegrate(mu: FiniteMeasure) -> FiniteKernel:
     """Conditional kernel of the second factor given the first.
 
@@ -100,11 +110,7 @@ def disintegrate(mu: FiniteMeasure) -> FiniteKernel:
     if not mu.is_nonnegative():
         raise SchemaError("disintegration needs a nonnegative measure")
     xs, ys = factors
-    w = mu.weights.reshape(xs.size, ys.size)
-    row_mass = w.sum(axis=1)
-    null = row_mass == 0
-    rows = w / np.where(null, 1, row_mass)[:, None]
-    rows[null] = _one_of(mu.scalar) / ys.size
+    rows, _ = _conditionals(mu.weights.reshape(xs.size, ys.size), _one_of(mu.scalar) / ys.size)
     return FiniteKernel(xs, ys, rows)
 
 
@@ -115,12 +121,9 @@ def bayes_invert(model: BayesModel) -> InversionResult:
     Where the predictive measure vanishes the row is the prior, and the
     label is listed in ``null_points``.
     """
-    prior_w = model.prior.weights
-    joint = model.sampling.rows.T * prior_w        # (x, theta)
-    pred = joint.sum(axis=1)                       # predictive weights
-    null = pred == 0
-    rows = joint / np.where(null, 1, pred)[:, None]
-    rows[null] = prior_w
+    # The joint (x, theta), conditioned on x; its row masses are the predictive.
+    rows, null = _conditionals(model.sampling.rows.T * model.prior.weights,
+                               model.prior.weights)
     kernel = FiniteKernel(model.observations, model.parameters, rows)
     labels = model.observations.labels
     return InversionResult(kernel=kernel,

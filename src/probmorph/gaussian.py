@@ -250,10 +250,17 @@ def gauss_condition(joint: GaussianMeasure, head_dim: int, y) -> GaussianMeasure
 # ---------------------------------------------------------------------------
 # discretization bridge
 
+# The most cells a grid axis may have: 2.5 times the 1,600 that GridSpec.around
+# makes by default.  A 2-D grid at the limit has 16.8M cells (134 MB of float
+# weights), and so has discretize_model_1d's kernel between two such axes.
+MAX_GRID_CELLS = 4096
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A regular grid of cells per axis; measures discretize onto the
-    cell centers.  Supports one or two axes."""
+    cell centers.  Supports one or two axes, of at most MAX_GRID_CELLS
+    cells each."""
 
     lower: tuple
     upper: tuple
@@ -274,6 +281,9 @@ class GridSpec:
                     and (hi - lo) / s < math.inf):      # NaN fails too
                 raise SchemaError("grid needs finite bounds with upper > lower, and "
                                   "a step > 0 that gives a finite cell count")
+            if round((hi - lo) / s) > MAX_GRID_CELLS:
+                raise SchemaError(f"grid axis of {(hi - lo) / s:.6g} cells, over the "
+                                  f"limit of {MAX_GRID_CELLS} per axis")
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "step", st)

@@ -9,7 +9,7 @@ dense array arithmetic, exact on the rational backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,15 +41,20 @@ class MeasurableMap:
     source: FiniteSpace
     target: FiniteSpace
     assignment: tuple
+    # The target index of each assigned label, looked up once.
+    _cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.assignment, tuple):
             object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != self.source.size:
             raise SchemaError("assignment length must match source size")
-        for lab in self.assignment:
-            if lab not in self.target:
-                raise SchemaError(f"assignment value {lab!r} not in target space")
+        try:
+            cols = [self.target._index[lab] for lab in self.assignment]
+        except (KeyError, TypeError):
+            lab = next(lab for lab in self.assignment if lab not in self.target)
+            raise SchemaError(f"assignment value {lab!r} not in target space") from None
+        object.__setattr__(self, "_cols", _freeze(np.array(cols, dtype=np.intp)))
 
     def __call__(self, label):
         return self.assignment[self.source.index(label)]
@@ -63,8 +68,7 @@ def map_compose(f: MeasurableMap, g: MeasurableMap) -> MeasurableMap:
     """The map x -> g(f(x))."""
     if f.target != g.source:
         raise SchemaError("maps do not compose: target/source mismatch")
-    return MeasurableMap(f.source, g.target,
-                         tuple(g(lab) for lab in f.assignment))
+    return MeasurableMap(f.source, g.target, tuple(g.assignment[j] for j in f._cols))
 
 
 def projection_map(prod: FiniteSpace, axis: int) -> MeasurableMap:
@@ -120,8 +124,7 @@ def kernels_equal(t1: FiniteKernel, t2: FiniteKernel,
 def dirac_kernel(f: MeasurableMap, scalar: str = RATIONAL) -> FiniteKernel:
     """Embed a deterministic map as a kernel of point masses."""
     rows = zeros_like_backend((f.source.size, f.target.size), scalar)
-    cols = [f.target.index(lab) for lab in f.assignment]
-    rows[np.arange(f.source.size), cols] = _one_of(scalar)
+    rows[np.arange(f.source.size), f._cols] = _one_of(scalar)
     return FiniteKernel(f.source, f.target, rows)
 
 

@@ -479,48 +479,39 @@ def product_measure(ms: Sequence[FiniteMeasure]) -> FiniteMeasure:
     return FiniteMeasure(space, w)
 
 
-def _lattice_shape(space: FiniteSpace):
-    """0 for scalar integer labels, d for d-tuples of integers; raises
-    otherwise."""
-    labs = space.labels
-    if all(isinstance(l, (int, np.integer)) and not isinstance(l, bool)
-           for l in labs):
-        return 0
-    if all(isinstance(l, tuple) for l in labs):
-        dims = {len(l) for l in labs}
-        if len(dims) == 1:
-            d = dims.pop()
-            if all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-                   for l in labs for c in l):
-                return d
-    raise UnsupportedStructureError(
-        "convolution needs integer or integer-tuple labels")
+def _lattice_points(space: FiniteSpace) -> tuple:
+    """The lattice dimension of the labels (0 for integers, d for
+    d-tuples of integers) and the labels in Python ints, as an (n,) or
+    (n, d) object array; raises otherwise."""
+    points = np.array(space.labels, dtype=object)
+    if points.ndim > 2 or points.size == 0 or not all(
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+            for c in points.flat):
+        raise UnsupportedStructureError(
+            "convolution needs integer or integer-tuple labels")
+    return points.shape[1] if points.ndim == 2 else 0, np.frompyfunc(int, 1, 1)(points)
 
 
 def convolve(m1: FiniteMeasure, m2: FiniteMeasure) -> FiniteMeasure:
-    """Distribution of the sum of independent draws.
+    """Distribution of the sum of independent draws: the product measure
+    pushed along the sum map.
 
     Both spaces must consist of integer lattice points of the same
     dimension.  The result's labels are the sorted sums of label pairs.
     """
     scalar = require_same_scalar(m1, m2)
-    d1, d2 = _lattice_shape(m1.space), _lattice_shape(m2.space)
+    (d1, p1), (d2, p2) = _lattice_points(m1.space), _lattice_points(m2.space)
     if d1 != d2:
         raise UnsupportedStructureError(
             f"lattice dimensions differ: {d1} vs {d2}")
-    acc: dict = {}
-    for la, wa in zip(m1.space.labels, m1.weights):
-        for lb, wb in zip(m2.space.labels, m2.weights):
-            if d1 == 0:
-                key = int(la) + int(lb)
-            else:
-                key = tuple(int(a) + int(b) for a, b in zip(la, lb))
-            prev = acc.get(key)
-            w = wa * wb
-            acc[key] = w if prev is None else prev + w
-    labels = tuple(sorted(acc))
-    space = FiniteSpace(labels)
-    w = as_scalar_array([acc[l] for l in labels], scalar)
+    sums = (p1[:, None] + p2[None, :]).reshape(-1, *p1.shape[1:])
+    keys = list(map(tuple, sums)) if d1 else sums.tolist()
+    space = FiniteSpace(tuple(sorted(set(keys))))
+    # Products are added in the product measure's order, onto -0.0: unlike
+    # +0.0, it leaves a lone -0.0 product as it is.
+    w = -zeros_like_backend(space.size, scalar)
+    np.add.at(w, [space._index[k] for k in keys],
+              (m1.weights[:, None] * m2.weights[None, :]).reshape(-1))
     return FiniteMeasure(space, w)
 
 

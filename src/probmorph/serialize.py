@@ -277,7 +277,7 @@ def gp_model_from_jsonable(d, where: str = "gp") -> GPModel:
     if mtype == "zero":
         mean_fn = zero_mean()
     elif mtype == "constant":
-        mean_fn = constant_mean(_number(md, "value", f"{where}.mean"))
+        mean_fn = _built(f"{where}.mean", constant_mean, _number(md, "value", f"{where}.mean"))
     else:
         raise SchemaError(f"{where}.mean.type: unsupported type {_clip(mtype)}")
     cov_fn = _built(where, squared_exponential, length, amp)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,6 +31,7 @@ from .measures import (
     require_same_scalar,
 )
 from .kernels import FiniteKernel, marginal, pushforward
+from .bayes import _conditionals
 from .gaussian import GaussianMeasure, _checked_solve
 
 
@@ -66,16 +68,19 @@ class SupervisedModel:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """An ordered tuple of (input, label) pairs.  May be empty."""
+    """An ordered tuple of (input, label) pairs, each given as a tuple or
+    a list of length 2.  May be empty."""
 
     pairs: tuple
 
     def __post_init__(self):
         try:
-            pairs = tuple((x, y) for x, y in self.pairs)
-        except (TypeError, ValueError):
-            raise SchemaError(f"expected (input, label) pairs, got {_clip(self.pairs)}") from None
-        object.__setattr__(self, "pairs", pairs)
+            pairs = tuple(self.pairs)
+        except TypeError:
+            pairs = (None,)
+        if not all(isinstance(p, (tuple, list)) and len(p) == 2 for p in pairs):
+            raise SchemaError(f"expected (input, label) pairs, got {_clip(self.pairs)}")
+        object.__setattr__(self, "pairs", tuple(map(tuple, pairs)))
 
     @property
     def inputs(self) -> tuple:
@@ -190,8 +195,8 @@ def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
     likelihood of every pair, normalized.  Linear in the number of pairs.
 
     An empty training set returns the prior untouched.  If the observed
-    label tuple has zero marginal probability the result is the prior
-    with null_evidence set.
+    label tuple has zero marginal probability the result equals the
+    prior, with null_evidence set.
     """
     if len(s) == 0:
         return InferenceResult(model.prior, False)
@@ -202,12 +207,9 @@ def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
             f"observed labels {_clip(_observation_label(ys))} outside the label "
             f"space: pair {bad} has label {_clip(ys[bad])}")
     _require_inputs(model, s.inputs)
-    joint = _likelihood(model, s) * model.prior.weights
-    evidence = joint.sum()
-    if evidence == 0:
-        return InferenceResult(model.prior, True)
-    return InferenceResult(
-        FiniteMeasure(model.hypotheses, joint / evidence), False)
+    rows, null = _conditionals((_likelihood(model, s) * model.prior.weights)[None],
+                               model.prior.weights)
+    return InferenceResult(FiniteMeasure(model.hypotheses, rows[0]), bool(null[0]))
 
 
 def predictive(model: SupervisedModel, s: TrainingSet,
@@ -271,7 +273,7 @@ class GPModel:
 
     def __post_init__(self):
         if not (isinstance(self.noise_var, numbers.Real)
-                and 0 <= self.noise_var < math.inf):     # NaN fails too
+                and 0 <= self.noise_var <= sys.float_info.max):   # NaN fails too
             raise SchemaError("noise variance must be finite and nonnegative")
 
 
@@ -280,6 +282,9 @@ def zero_mean():
 
 
 def constant_mean(c: float):
+    """The mean function with the value c everywhere; c must be a finite real."""
+    if not (isinstance(c, numbers.Real) and abs(c) <= sys.float_info.max):   # NaN fails too
+        raise SchemaError(f"constant mean {_clip(c)} is not a finite real number")
     c = float(c)
     return lambda X: np.full(len(X), c)
 
@@ -291,11 +296,11 @@ def squared_exponential(length_scale: float = 1.0, amplitude: float = 1.0):
     2 length_scale^2 must be a positive float and amplitude^2 a finite
     one; amplitude^2 may underflow to 0.  A scaled squared distance that
     overflows gives the limit exp(-inf) = 0, without a warning."""
-    if not all(isinstance(v, numbers.Real) and 0 < v < math.inf
+    if not all(isinstance(v, numbers.Real) and 0 < v <= sys.float_info.max
                for v in (length_scale, amplitude)):
         raise SchemaError("length_scale and amplitude must be positive and finite")
     two_l2 = 2.0 * length_scale * length_scale
-    a2 = amplitude * amplitude
+    a2 = float(amplitude) * amplitude         # a float, also for an int amplitude
     if not (0 < two_l2 < math.inf and a2 < math.inf):
         raise SchemaError(
             f"length_scale {_clip(length_scale)} and amplitude {_clip(amplitude)} "
@@ -351,9 +356,12 @@ def gp_posterior_predictive(gp: GPModel, s: TrainingSet, t: TestInputs,
     mean  = m(T) + K(T,X) C^-1 (Y - m(X))
     cov   = K(T,T) - K(T,X) C^-1 K(X,T)
 
-    with C = K(X,X) + noise_var * I (+ optional explicit jitter).  A mean
-    or covariance that leaves the float range raises NumericalError.
+    with C = K(X,X) + noise_var * I (+ optional explicit jitter, which
+    must be finite and nonnegative).  A mean or covariance that leaves
+    the float range raises NumericalError.
     """
+    if not (isinstance(jitter, numbers.Real) and 0 <= jitter <= sys.float_info.max):
+        raise SchemaError(f"jitter {_clip(jitter)} must be finite and nonnegative")
     if len(s) == 0:
         raise SchemaError("posterior predictive needs training data")
     mt, mx, ktt, ktx, C = _gp_blocks(gp, s.inputs, t.points)

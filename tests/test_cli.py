@@ -429,6 +429,23 @@ class TestGpPredict:
             "type": "NumericalError",
             "message": "the posterior predictive overflows the float range"}
 
+    @pytest.mark.parametrize("jitter", ["inf", "nan", "-1", "-0.05"])
+    def test_bad_jitter_exits_2_with_one_json_line(self, tmp_path, capsys, jitter):
+        assert main(self._three_points(tmp_path, 1.0) + [f"--jitter={jitter}"]) == 2
+        assert _one_short_error(capsys.readouterr()) == {
+            "type": "SchemaError",
+            "message": f"jitter {float(jitter)!r} must be finite and nonnegative"}
+
+    def test_constant_mean_out_of_the_float_range_exits_2(self, tmp_path, capsys):
+        argv = self._three_points(tmp_path, 1.0)
+        (tmp_path / "gp.json").write_text(json.dumps(dict(
+            GP_CONFIG, noise_var=0.1, mean={"type": "constant", "value": 0.5})
+        ).replace("0.5", "1e400"))          # JSON reads 1e400 as inf
+        assert main(argv) == 2
+        assert _one_short_error(capsys.readouterr()) == {
+            "type": "SchemaError",
+            "message": "gp.mean: constant mean inf is not a finite real number"}
+
     def test_missing_csv_exits_2_with_the_os_error(self, tmp_path, capsys):
         cfg, _, test = self._files(tmp_path)
         missing = tmp_path / "missing.csv"

@@ -4,9 +4,9 @@ Every subcommand that reads files gets its fixtures with a few leaves
 replaced by bad values (bad 'p/q' literals, bools, null, exact and float
 numbers mixed, out-of-range numbers, long strings), with entries deleted
 or duplicated (ragged rows, count mismatches), and, for `posterior`, long
-training sets.  Whatever the input, the CLI must exit 0, 2 or 3, print
-valid output on 0 and exactly one JSON error object otherwise, and never
-raise.
+training sets; `gp-predict` also gets good and bad `--jitter` values.
+Whatever the input, the CLI must exit 0, 2 or 3, print valid output on 0
+and exactly one JSON error object otherwise, and never raise.
 """
 
 import contextlib
@@ -164,11 +164,13 @@ def test_posterior_and_predictive_on_mutated_inputs(model, training, test,
                                                       "value": 0.5})),
                         st.just(GP_CONFIG)),
        train=st.one_of(mutated(TRAIN_CSV, 2), st.just(TRAIN_CSV)),
-       test=st.one_of(mutated(TEST_CSV, 2), st.just(TEST_CSV)))
-def test_gp_predict_on_mutated_inputs(config, train, test):
+       test=st.one_of(mutated(TEST_CSV, 2), st.just(TEST_CSV)),
+       jitter=st.sampled_from([[], ["--jitter=1e-8"], ["--jitter=inf"], ["--jitter=nan"],
+                               ["--jitter=-1"], ["--jitter=-0.05"]]))
+def test_gp_predict_on_mutated_inputs(config, train, test, jitter):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _check(*_run(["gp-predict", "--input", _write(tmp, "gp.json", config),
                       "--data", _write_csv(tmp, "train.csv", train),
-                      "--test", _write_csv(tmp, "test.csv", test)]),
+                      "--test", _write_csv(tmp, "test.csv", test)] + jitter),
                csv_output=True)

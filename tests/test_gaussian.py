@@ -233,6 +233,10 @@ class TestDiscretize:
         assert abs(mean[0] - 0.3) < 1e-6
         assert abs(cov[0, 0] - 0.64) / 0.64 < 1e-4
 
+    def test_an_axis_may_have_max_grid_cells(self):
+        assert GridSpec((0.0,), (1.0,), (1 / 4096,)).centers(0).size == 4096
+        assert GridSpec.around(0.0, 1.0).centers(0).size == 1600    # the default
+
     def test_grid_that_misses_the_mass_is_rejected(self):
         g = GaussianMeasure([0.0], [[1.0]])
         with pytest.raises(GridError):

@@ -113,6 +113,47 @@ class TestComposition:
         assert kernels_equal(lhs, rhs)
 
 
+class TestMeasurableMap:
+    def test_value_semantics_are_those_of_its_three_fields(self):
+        f = MeasurableMap(X, Y, ["y1", "y0"])
+        same = MeasurableMap(source=X, target=Y, assignment=("y1", "y0"))
+        assert f.assignment == ("y1", "y0")
+        assert f == same and hash(f) == hash(same)
+        assert f != MeasurableMap(X, Y, ("y1", "y1"))
+        assert repr(f) == (f"MeasurableMap(source={X!r}, target={Y!r}, "
+                           "assignment=('y1', 'y0'))")
+        assert f("x0") == "y1"
+
+    @pytest.mark.parametrize("assignment, message", [
+        (([1], "y0"), "assignment value [1] not in target space"),
+        (("y0", "z0"), "assignment value 'z0' not in target space"),
+        (("y0",), "assignment length must match source size"),
+    ])
+    def test_refusals(self, assignment, message):
+        with pytest.raises(SchemaError) as info:
+            MeasurableMap(X, Y, assignment)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("scalar", ["rational", "float"])
+    def test_dirac_kernel_and_composition_agree_with_label_lookups(self, scalar):
+        a, b, c = (FiniteSpace((f"{n}0", f"{n}1", f"{n}2")) for n in "abc")
+        nested = pm.product_space([pm.product_space([a, b]), c])
+        proj = projection_map(nested, 0)
+        assert proj.target == pm.product_space([a, b])
+        maps = [proj, projection_map(proj.target, 1), projection_map(nested, 1),
+                MeasurableMap(c, a, ("a2", "a0", "a2"))]
+        pairs = [(maps[0], maps[1]), (maps[2], maps[3]), (maps[3], identity_map(a))]
+        for f in maps + [map_compose(f, g) for f, g in pairs]:
+            rows = dirac_kernel(f, scalar).rows
+            for i, x in enumerate(f.source.labels):
+                assert rows[i].tolist() == [int(y == f(x)) for y in f.target.labels]
+        for f, g in pairs:
+            fg = map_compose(f, g)
+            assert fg.target == g.target
+            assert all(fg(x) == g(f(x)) for x in f.source.labels)
+        assert map_compose(maps[0], maps[1])((("a1", "b2"), "c0")) == "b2"
+
+
 class TestTransport:
     def test_pushforward_hand_value(self):
         m = prob_measure(X, [F(1, 5), F(4, 5)])

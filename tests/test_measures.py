@@ -370,6 +370,85 @@ class TestConvolve:
                               convolve(a, convolve(b, c)))
 
 
+def _convolve_oracle(m1, m2):
+    """Sorted sum labels and weights by a double loop over label pairs,
+    each product added to its sum's entry in loop order."""
+    acc = {}
+    for la, wa in zip(m1.space.labels, m1.weights):
+        for lb, wb in zip(m2.space.labels, m2.weights):
+            key = (tuple(int(a) + int(b) for a, b in zip(la, lb))
+                   if isinstance(la, tuple) else int(la) + int(lb))
+            acc[key] = acc[key] + wa * wb if key in acc else wa * wb
+    labels = tuple(sorted(acc))
+    return labels, [acc[k] for k in labels]
+
+
+def _random_lattice_measure(rng, d, scalar):
+    n = int(rng.integers(1, 7))
+    pts = {tuple(map(int, rng.integers(-3, 4, size=d))) if d else int(rng.integers(-6, 7))
+           for _ in range(n)}
+    if scalar == "float":    # signed, with both zeros and some exact ties
+        w = rng.choice([0.0, -0.0, 0.5, -0.25, 1e-300, -3.0], size=len(pts))
+        w = np.where(rng.random(len(pts)) < 0.5, w * rng.random(len(pts)), w)
+    else:
+        w = [F(int(rng.integers(-4, 5)), int(rng.integers(1, 7))) for _ in pts]
+    return signed_measure(FiniteSpace(tuple(pts)), w, scalar)
+
+
+class TestConvolveAgainstOracle:
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("scalar", ["rational", "float"])
+    def test_random_draws_match_the_double_loop(self, scalar, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(150):
+            m1, m2 = (_random_lattice_measure(rng, d, scalar) for _ in range(2))
+            out = convolve(m1, m2)
+            labels, weights = _convolve_oracle(m1, m2)
+            assert out.space.labels == labels
+            assert all(type(c) is int for lab in labels
+                       for c in (lab if d else (lab,)))
+            if scalar == "float":          # bit for bit, the sign of zero too
+                assert out.weights.tobytes() == np.array(weights).tobytes()
+            else:
+                assert list(out.weights) == weights
+                assert all(type(v) is F for v in out.weights)
+
+    def test_a_lone_negative_zero_keeps_its_sign(self):
+        m = signed_measure(FiniteSpace((0, 1)), [-0.0, 1.0], "float")
+        out = convolve(m, dirac_measure(FiniteSpace((0,)), 0, "float"))
+        assert math.copysign(1.0, out.weights[0]) == -1.0
+
+    @pytest.mark.parametrize("scalar", ["rational", "float"])
+    def test_numpy_and_big_integer_labels(self, scalar):
+        m1 = signed_measure(FiniteSpace((np.int64(1), 2 ** 70, -(2 ** 64))),
+                            ["1/2", "1/3", "1/6"] if scalar == "rational"
+                            else [0.5, 0.25, 0.25], scalar)
+        m2 = signed_measure(FiniteSpace((np.int64(2), 2 ** 63)), [1, 1], scalar)
+        out = convolve(m1, m2)
+        labels, weights = _convolve_oracle(m1, m2)
+        assert out.space.labels == labels
+        assert 2 ** 70 + 2 ** 63 in labels and 3 in labels
+        assert all(type(lab) is int for lab in labels)
+        assert list(out.weights) == weights
+
+    @pytest.mark.parametrize("labels", [
+        ("a", "b"), (True, 2), (1, (2, 3)), ((1, 2), (3,)), ((),),
+        (((1, 2), 3), ((1, 2), 4)), (((1, 2), (3, 4)),), (1.0, 2),
+    ])
+    def test_non_lattice_labels_are_refused(self, labels):
+        m = uniform_measure(FiniteSpace(labels))
+        with pytest.raises(UnsupportedStructureError) as info:
+            convolve(m, m)
+        assert str(info.value) == "convolution needs integer or integer-tuple labels"
+
+    def test_dimension_mismatch_names_both_dimensions(self):
+        m1 = dirac_measure(FiniteSpace(((0,), (1,))), (0,))
+        m2 = dirac_measure(FiniteSpace(((0, 0),)), (0, 0))
+        with pytest.raises(UnsupportedStructureError) as info:
+            convolve(m1, m2)
+        assert str(info.value) == "lattice dimensions differ: 1 vs 2"
+
+
 class TestRadonNikodym:
     def test_hand_value(self):
         s = FiniteSpace(("a", "b"))
@@ -435,6 +514,7 @@ class TestObservables:
 S2 = FiniteSpace(("a", "b"))
 MODEL2 = pm.SupervisedModel(uniform_measure(S2), S2, S2, [[[1, 0], [0, 1]]] * 2)
 INF, NAN = math.inf, math.nan
+GP = pm.GPModel(pm.zero_mean(), pm.squared_exponential(), 0.1)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -461,11 +541,34 @@ INF, NAN = math.inf, math.nan
      "noise variance must be finite and nonnegative"),
     (lambda: pm.squared_exponential("a"),
      "length_scale and amplitude must be positive and finite"),
+    (lambda: pm.constant_mean("a"), "constant mean 'a' is not a finite real number"),
+    (lambda: pm.constant_mean(INF), "constant mean inf is not a finite real number"),
+    (lambda: pm.constant_mean(10 ** 400), "constant mean 1000"),
+    (lambda: pm.TrainingSet(("ab",)), "expected (input, label) pairs, got ('ab',)"),
+    (lambda: pm.TrainingSet(({"a": 1, "b": 2},)), "expected (input, label) pairs"),
+    (lambda: pm.GridSpec((0.0,), (1.0,), (1e-300,)),
+     "grid axis of 1e+300 cells, over the limit of 4096 per axis"),
+    (lambda: pm.GridSpec((0.0, 0.0), (1.0, 1.0), (0.25, 1 / 4097)),
+     "grid axis of 4097 cells, over the limit of 4096 per axis"),
+    (lambda: pm.gp_posterior_predictive(GP, pm.TrainingSet(((0.0, 1.0),)),
+                                        pm.TestInputs((0.0,)), jitter=NAN),
+     "jitter nan must be finite and nonnegative"),
+    (lambda: pm.gp_posterior_predictive(GP, pm.TrainingSet(((0.0, 1.0),)),
+                                        pm.TestInputs((0.0,)), jitter=10 ** 400),
+     "jitter 1000"),
+    (lambda: pm.GPModel(pm.zero_mean(), pm.squared_exponential(), 10 ** 400),
+     "noise variance must be finite and nonnegative"),
+    (lambda: pm.squared_exponential(10 ** 400),
+     "length_scale and amplitude must be positive and finite"),
+    (lambda: pm.squared_exponential(1.0, 10 ** 200), "length_scale 1.0 and amplitude 1000"),
 ], ids=["dirac-backend", "identity-backend", "uniform-backend", "zeros-backend",
         "unhashable-labels", "unhashable-index", "posterior-list-label",
         "predictive-list-point", "map-list-assignment", "triple-pair", "bare-pair",
         "grid-string", "grid-nan", "grid-inf", "grid-nan-step", "grid-overflowing-cells",
-        "gp-string-noise", "se-string-length"])
+        "gp-string-noise", "se-string-length", "mean-string", "mean-inf", "mean-huge-int",
+        "string-pair", "dict-pair", "grid-tiny-step", "grid-one-cell-over", "jitter-nan",
+        "jitter-huge-int", "gp-huge-int-noise", "se-huge-int-length",
+        "se-int-amplitude-squared-overflows"])
 def test_library_constructors_refuse_bad_input_with_schema_error(build, message):
     with pytest.raises(SchemaError) as info:
         build()
