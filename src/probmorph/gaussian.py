@@ -281,9 +281,12 @@ class GridSpec:
                     and (hi - lo) / s < math.inf):      # NaN fails too
                 raise SchemaError("grid needs finite bounds with upper > lower, and "
                                   "a step > 0 that gives a finite cell count")
-            if round((hi - lo) / s) > MAX_GRID_CELLS:
-                raise SchemaError(f"grid axis of {(hi - lo) / s:.6g} cells, over the "
+            cells = (hi - lo) / s
+            if round(cells) > MAX_GRID_CELLS:
+                raise SchemaError(f"grid axis of {cells:.6g} cells, over the "
                                   f"limit of {MAX_GRID_CELLS} per axis")
+            if round(cells) < 1:
+                raise SchemaError(f"grid axis has no cells: {cells:.6g} cells round to 0")
         object.__setattr__(self, "lower", low)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "step", st)
@@ -295,8 +298,6 @@ class GridSpec:
     def centers(self, axis: int) -> np.ndarray:
         lo, hi, s = self.lower[axis], self.upper[axis], self.step[axis]
         count = int(round((hi - lo) / s))
-        if count < 1:
-            raise SchemaError("grid axis has no cells")
         return lo + (np.arange(count) + 0.5) * s
 
     @classmethod

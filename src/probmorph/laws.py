@@ -1,9 +1,12 @@
 """Randomized checks of the algebraic laws the package promises.
 
-Each check runs a number of seeded random trials and returns a list of
-counterexample records (empty means the law held every time).  The CLI
-exposes these through ``check-laws``; the acceptance tests drive the
-same functions with their own trial counts.
+Each law family is written as one trial: a generator that draws its
+inputs and yields ``(law, holds)`` for each law it checks, so a new law
+is one ``yield``.  ``_trials`` turns the trial into a check that runs a
+number of seeded random trials and returns a list of counterexample
+records (empty means the law held every time).  The CLI exposes these
+through ``check-laws``; the acceptance tests drive the same functions
+with their own trial counts.
 
 Functions here call operations through their module namespaces, so a
 deliberately broken operation (e.g. a monkeypatched compose) is picked
@@ -12,13 +15,16 @@ up by the checks.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import bayes, gaussian, kernels, measures, supervised
+from .errors import SchemaError, _clip
 from .measures import FLOAT, RATIONAL, FiniteSpace
 
 
@@ -101,177 +107,165 @@ def _spaces3(rng, max_size=6):
     return xs, ys, zs
 
 
-def _fail(trial: int, law: str, **extra) -> dict:
-    rec = {"trial": trial, "law": law}
-    rec.update(extra)
-    return rec
+def _trials(trial):
+    """A law family from ``trial(rng, scalar, tol)``, a generator that runs
+    one trial and yields ``(law, holds)`` or ``(law, holds, details)`` for
+    each law it checks.  The family, called as ``(rng, trials, scalar,
+    tol)``, runs the trial ``trials`` times and returns the record
+    ``{"trial": i, "law": law, **details}`` of every law that did not hold."""
+    @functools.wraps(trial)
+    def family(rng, trials: int, scalar: str, tol: float) -> list:
+        return [{"trial": i, "law": law, **dict(*details)}
+                for i in range(trials)
+                for law, holds, *details in trial(rng, scalar, tol)
+                if not holds]
+
+    del family.__wrapped__      # introspection shows the family's call
+    return family
 
 
 # ---------------------------------------------------------------------------
 # finite category checks
 
-def check_composition_laws(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_composition_laws(rng, scalar: str, tol: float):
     """Associativity of composition, functoriality of pushforward,
     contravariance of pullback, and the pairing duality."""
-    bad = []
-    for i in range(trials):
-        xs, ys, zs = _spaces3(rng)
-        ws = random_space(rng, 6, "w")
-        t1 = random_kernel(rng, xs, ys, scalar)
-        t2 = random_kernel(rng, ys, zs, scalar)
-        t3 = random_kernel(rng, zs, ws, scalar)
-        left = kernels.compose(kernels.compose(t1, t2), t3)
-        right = kernels.compose(t1, kernels.compose(t2, t3))
-        if not kernels.kernels_equal(left, right, tol):
-            bad.append(_fail(i, "compose-associative"))
-        m = random_prob(rng, xs, scalar)
-        via = kernels.pushforward(t2, kernels.pushforward(t1, m))
-        direct = kernels.pushforward(kernels.compose(t1, t2), m)
-        if not measures.measures_equal(direct, via, tol):
-            bad.append(_fail(i, "pushforward-functorial"))
-        g = random_function(rng, zs, scalar)
-        back_via = kernels.pullback(t1, kernels.pullback(t2, g))
-        back_direct = kernels.pullback(kernels.compose(t1, t2), g)
-        if not measures.arrays_equal(back_direct.values, back_via.values, scalar, tol):
-            bad.append(_fail(i, "pullback-contravariant"))
-        one = measures._one_of(scalar)
-        pulled = kernels.pullback(t1, measures.constant_function(ys, one, scalar))
-        if not measures.arrays_equal(
-                pulled.values, measures.constant_function(xs, one, scalar).values,
-                scalar, tol):
-            bad.append(_fail(i, "pullback-unital"))
-        gy = random_function(rng, ys, scalar)
-        mu = random_signed(rng, xs, scalar)
-        lhs = measures.integrate(gy, kernels.pushforward(t1, mu))
-        rhs = measures.integrate(kernels.pullback(t1, gy), mu)
-        ok = lhs == rhs if scalar == RATIONAL else abs(lhs - rhs) <= tol
-        if not ok:
-            bad.append(_fail(i, "pushforward-pullback-duality"))
-        tv_in = measures.tv_norm(mu)
-        tv_out = measures.tv_norm(kernels.pushforward(t1, mu))
-        ok = tv_out <= tv_in if scalar == RATIONAL else float(tv_out) <= float(tv_in) + tol
-        if not ok:
-            bad.append(_fail(i, "tv-contraction"))
-    return bad
+    xs, ys, zs = _spaces3(rng)
+    ws = random_space(rng, 6, "w")
+    t1 = random_kernel(rng, xs, ys, scalar)
+    t2 = random_kernel(rng, ys, zs, scalar)
+    t3 = random_kernel(rng, zs, ws, scalar)
+    left = kernels.compose(kernels.compose(t1, t2), t3)
+    right = kernels.compose(t1, kernels.compose(t2, t3))
+    yield "compose-associative", kernels.kernels_equal(left, right, tol)
+    m = random_prob(rng, xs, scalar)
+    via = kernels.pushforward(t2, kernels.pushforward(t1, m))
+    direct = kernels.pushforward(kernels.compose(t1, t2), m)
+    yield "pushforward-functorial", measures.measures_equal(direct, via, tol)
+    g = random_function(rng, zs, scalar)
+    back_via = kernels.pullback(t1, kernels.pullback(t2, g))
+    back_direct = kernels.pullback(kernels.compose(t1, t2), g)
+    yield "pullback-contravariant", measures.arrays_equal(
+        back_direct.values, back_via.values, scalar, tol)
+    one = measures._one_of(scalar)
+    pulled = kernels.pullback(t1, measures.constant_function(ys, one, scalar))
+    yield "pullback-unital", measures.arrays_equal(
+        pulled.values, measures.constant_function(xs, one, scalar).values,
+        scalar, tol)
+    gy = random_function(rng, ys, scalar)
+    mu = random_signed(rng, xs, scalar)
+    lhs = measures.integrate(gy, kernels.pushforward(t1, mu))
+    rhs = measures.integrate(kernels.pullback(t1, gy), mu)
+    yield "pushforward-pullback-duality", (
+        lhs == rhs if scalar == RATIONAL else abs(lhs - rhs) <= tol)
+    tv_in = measures.tv_norm(mu)
+    tv_out = measures.tv_norm(kernels.pushforward(t1, mu))
+    yield "tv-contraction", (
+        tv_out <= tv_in if scalar == RATIONAL else float(tv_out) <= float(tv_in) + tol)
 
 
-def check_graph_laws(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_graph_laws(rng, scalar: str, tol: float):
     """Marginals of a graph recover the kernel and the identity; graphs
     interact with composition and deterministic reparametrization the
     way block matrices say they must."""
-    bad = []
-    for i in range(trials):
-        xs, ys, zs = _spaces3(rng, max_size=5)
-        ws = random_space(rng, 5, "w")
-        p1 = random_kernel(rng, xs, ys, scalar)
-        gp1 = kernels.graph(p1)
-        prod = gp1.target
-        proj0 = kernels.dirac_kernel(kernels.projection_map(prod, 0), scalar)
-        proj1 = kernels.dirac_kernel(kernels.projection_map(prod, 1), scalar)
-        if not kernels.kernels_equal(kernels.compose(gp1, proj1), p1, tol):
-            bad.append(_fail(i, "graph-second-marginal"))
-        ident = kernels.identity_kernel(xs, scalar)
-        if not kernels.kernels_equal(kernels.compose(gp1, proj0), ident, tol):
-            bad.append(_fail(i, "graph-first-marginal"))
-        p2 = random_kernel(rng, ys, zs, scalar)
-        direct = kernels.graph(kernels.compose(p1, p2))
-        chained = kernels.compose(
-            gp1, kernels.product_kernel(ident, p2))
-        if not kernels.kernels_equal(direct, chained, tol):
-            bad.append(_fail(i, "graph-composition"))
-        kappa = random_map(rng, ws, xs)
-        dk = kernels.dirac_kernel(kappa, scalar)
-        lhs = kernels.compose(
-            kernels.graph(kernels.compose(dk, p1)),
-            kernels.product_kernel(dk, kernels.identity_kernel(ys, scalar)))
-        rhs = kernels.compose(dk, gp1)
-        if not kernels.kernels_equal(lhs, rhs, tol):
-            bad.append(_fail(i, "graph-reparametrization"))
-        f = random_map(rng, xs, ys)
-        g = random_map(rng, ys, zs)
-        if not kernels.kernels_equal(
-                kernels.dirac_kernel(kernels.map_compose(f, g), scalar),
-                kernels.compose(kernels.dirac_kernel(f, scalar),
-                                kernels.dirac_kernel(g, scalar)), tol):
-            bad.append(_fail(i, "deterministic-embedding-functorial"))
-    return bad
+    xs, ys, zs = _spaces3(rng, max_size=5)
+    ws = random_space(rng, 5, "w")
+    p1 = random_kernel(rng, xs, ys, scalar)
+    gp1 = kernels.graph(p1)
+    prod = gp1.target
+    proj0 = kernels.dirac_kernel(kernels.projection_map(prod, 0), scalar)
+    proj1 = kernels.dirac_kernel(kernels.projection_map(prod, 1), scalar)
+    yield "graph-second-marginal", kernels.kernels_equal(
+        kernels.compose(gp1, proj1), p1, tol)
+    ident = kernels.identity_kernel(xs, scalar)
+    yield "graph-first-marginal", kernels.kernels_equal(
+        kernels.compose(gp1, proj0), ident, tol)
+    p2 = random_kernel(rng, ys, zs, scalar)
+    direct = kernels.graph(kernels.compose(p1, p2))
+    chained = kernels.compose(
+        gp1, kernels.product_kernel(ident, p2))
+    yield "graph-composition", kernels.kernels_equal(direct, chained, tol)
+    kappa = random_map(rng, ws, xs)
+    dk = kernels.dirac_kernel(kappa, scalar)
+    lhs = kernels.compose(
+        kernels.graph(kernels.compose(dk, p1)),
+        kernels.product_kernel(dk, kernels.identity_kernel(ys, scalar)))
+    rhs = kernels.compose(dk, gp1)
+    yield "graph-reparametrization", kernels.kernels_equal(lhs, rhs, tol)
+    f = random_map(rng, xs, ys)
+    g = random_map(rng, ys, zs)
+    yield "deterministic-embedding-functorial", kernels.kernels_equal(
+        kernels.dirac_kernel(kernels.map_compose(f, g), scalar),
+        kernels.compose(kernels.dirac_kernel(f, scalar),
+                        kernels.dirac_kernel(g, scalar)), tol)
 
 
-def check_disintegration(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_disintegration(rng, scalar: str, tol: float):
     """Pushing the first marginal through the graph of the conditional
     reconstructs the joint, zero-mass rows included."""
-    bad = []
-    for i in range(trials):
-        nx = int(rng.integers(1, 5))
-        ny = int(rng.integers(1, 8 // nx + 1))
-        xs = FiniteSpace(tuple(f"x{j}" for j in range(nx)))
-        ys = FiniteSpace(tuple(f"y{j}" for j in range(ny)))
-        prod = measures.product_space([xs, ys])
-        mu = random_prob(rng, prod, scalar, allow_zero=True)
-        cond = bayes.disintegrate(mu)
-        rebuilt = kernels.pushforward(kernels.graph(cond),
-                                      kernels.marginal(mu, 0))
-        if not measures.measures_equal(rebuilt, mu, tol):
-            bad.append(_fail(i, "disintegration-roundtrip"))
-    return bad
+    nx = int(rng.integers(1, 5))
+    ny = int(rng.integers(1, 8 // nx + 1))
+    xs = FiniteSpace(tuple(f"x{j}" for j in range(nx)))
+    ys = FiniteSpace(tuple(f"y{j}" for j in range(ny)))
+    prod = measures.product_space([xs, ys])
+    mu = random_prob(rng, prod, scalar, allow_zero=True)
+    cond = bayes.disintegrate(mu)
+    rebuilt = kernels.pushforward(kernels.graph(cond),
+                                  kernels.marginal(mu, 0))
+    yield "disintegration-roundtrip", measures.measures_equal(rebuilt, mu, tol)
 
 
-def check_inversion(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_inversion(rng, scalar: str, tol: float):
     """The inversion identity, double inversion up to null sets, and
     stagewise inversion of a two-step chain."""
-    bad = []
-    for i in range(trials):
-        thetas = random_space(rng, 4, "t")
-        xs = random_space(rng, 4, "x")
-        zs = random_space(rng, 4, "z")
-        prior = random_prob(rng, thetas, scalar, allow_zero=True)
-        p1 = random_kernel(rng, thetas, xs, scalar, allow_zero=True)
-        model = bayes.BayesModel(prior=prior, sampling=p1)
-        inv = bayes.bayes_invert(model)
-        if not bayes.verify_inversion(model, inv.kernel, tol):
-            bad.append(_fail(i, "inversion-identity"))
-        pred = kernels.pushforward(p1, prior)
-        back_model = bayes.BayesModel(
-            prior=measures.prob_measure(xs, pred.weights),
-            sampling=inv.kernel)
-        back = bayes.bayes_invert(back_model)
-        if not bayes.ae_equal(back.kernel, p1, prior, tol):
-            bad.append(_fail(i, "double-inversion-ae"))
-        p2 = random_kernel(rng, xs, zs, scalar, allow_zero=True)
-        chained = bayes.invert_composition(model, p2)
-        direct = bayes.bayes_invert(
-            bayes.BayesModel(prior=prior,
-                             sampling=kernels.compose(p1, p2))).kernel
-        if not kernels.kernels_equal(chained, direct, tol):
-            bad.append(_fail(i, "composition-inversion"))
-    return bad
+    thetas = random_space(rng, 4, "t")
+    xs = random_space(rng, 4, "x")
+    zs = random_space(rng, 4, "z")
+    prior = random_prob(rng, thetas, scalar, allow_zero=True)
+    p1 = random_kernel(rng, thetas, xs, scalar, allow_zero=True)
+    model = bayes.BayesModel(prior=prior, sampling=p1)
+    inv = bayes.bayes_invert(model)
+    yield "inversion-identity", bayes.verify_inversion(model, inv.kernel, tol)
+    pred = kernels.pushforward(p1, prior)
+    back_model = bayes.BayesModel(
+        prior=measures.prob_measure(xs, pred.weights),
+        sampling=inv.kernel)
+    back = bayes.bayes_invert(back_model)
+    yield "double-inversion-ae", bayes.ae_equal(back.kernel, p1, prior, tol)
+    p2 = random_kernel(rng, xs, zs, scalar, allow_zero=True)
+    chained = bayes.invert_composition(model, p2)
+    direct = bayes.bayes_invert(
+        bayes.BayesModel(prior=prior,
+                         sampling=kernels.compose(p1, p2))).kernel
+    yield "composition-inversion", kernels.kernels_equal(chained, direct, tol)
 
 
-def check_ac_preservation(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_ac_preservation(rng, scalar: str, tol: float):
     """Pushforward preserves absolute continuity, with the transported
     density reconstructing the transported measure."""
-    bad = []
-    for i in range(trials):
-        xs, ys, _ = _spaces3(rng)
-        muw = np.asarray(random_prob(rng, xs, scalar, allow_zero=True).weights)
-        nuw = np.asarray(random_prob(rng, xs, scalar, allow_zero=True).weights)
-        nuw = np.where(muw == 0, muw, nuw)              # force nu << mu
-        if nuw.sum() == 0:
-            nuw = muw
-        mu = measures.measure(xs, muw, scalar)
-        nu = measures.measure(xs, nuw, scalar)
-        t = random_kernel(rng, xs, ys, scalar, allow_zero=True)
-        tmu = kernels.pushforward(t, mu)
-        tnu = kernels.pushforward(t, nu)
-        try:
-            dens = measures.radon_nikodym(tnu, tmu)
-        except measures.NotAbsolutelyContinuousError:
-            bad.append(_fail(i, "ac-preserved"))
-            continue
-        rebuilt = measures.signed_measure(ys, dens.values * tmu.weights, scalar)
-        if not measures.measures_equal(rebuilt, tnu, tol):
-            bad.append(_fail(i, "density-reconstruction"))
-    return bad
+    xs, ys, _ = _spaces3(rng)
+    muw = np.asarray(random_prob(rng, xs, scalar, allow_zero=True).weights)
+    nuw = np.asarray(random_prob(rng, xs, scalar, allow_zero=True).weights)
+    nuw = np.where(muw == 0, muw, nuw)              # force nu << mu
+    if nuw.sum() == 0:
+        nuw = muw
+    mu = measures.measure(xs, muw, scalar)
+    nu = measures.measure(xs, nuw, scalar)
+    t = random_kernel(rng, xs, ys, scalar, allow_zero=True)
+    tmu = kernels.pushforward(t, mu)
+    tnu = kernels.pushforward(t, nu)
+    try:
+        dens = measures.radon_nikodym(tnu, tmu)
+    except measures.NotAbsolutelyContinuousError:
+        yield "ac-preserved", False
+        return
+    rebuilt = measures.signed_measure(ys, dens.values * tmu.weights, scalar)
+    yield "density-reconstruction", measures.measures_equal(rebuilt, tnu, tol)
 
 
 def batch_posterior(model, s) -> "supervised.InferenceResult":
@@ -286,165 +280,147 @@ def batch_posterior(model, s) -> "supervised.InferenceResult":
     return supervised.InferenceResult(inv.kernel.row(obs), False)
 
 
-def check_supervised(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_supervised(rng, scalar: str, tol: float):
     """The posterior equals batch inversion of the sampling kernel,
     sequential conditioning equals conditioning on all pairs at once, the
     posterior is order-insensitive, and unqueried inputs never matter."""
-    bad = []
-    for i in range(trials):
-        thetas = random_space(rng, 5, "t")
-        inputs = random_space(rng, 5, "a")
-        labels = random_space(rng, 4, "y")
-        prior = random_prob(rng, thetas, scalar)
-        rows = np.array([[random_prob_weights(rng, labels.size, scalar)
-                          for _ in range(inputs.size)] for _ in range(thetas.size)])
-        model = supervised.SupervisedModel(prior, inputs, labels, rows)
-        npairs = int(rng.integers(1, 5))
-        pairs = tuple(
-            (inputs.labels[int(rng.integers(0, inputs.size))],
-             labels.labels[int(rng.integers(0, labels.size))])
-            for _ in range(npairs))
-        s_all = supervised.TrainingSet(pairs)
-        cut = int(rng.integers(0, npairs + 1))
-        s_a, s_b = supervised.TrainingSet(pairs[:cut]), supervised.TrainingSet(pairs[cut:])
-        whole = supervised.posterior(model, s_all)
-        oracle = batch_posterior(model, s_all)
-        if (whole.null_evidence != oracle.null_evidence
-                or not measures.measures_equal(whole.measure, oracle.measure, tol)):
-            bad.append(_fail(i, "posterior-batch-inversion"))
-        stage1 = supervised.posterior(model, s_a)
-        model2 = replace(model, prior=measures.prob_measure(thetas, stage1.measure.weights))
-        stage2 = supervised.posterior(model2, s_b)
-        if not measures.measures_equal(whole.measure, stage2.measure, tol):
-            bad.append(_fail(i, "sequential-update"))
-        perm = rng.permutation(npairs)
-        shuffled = supervised.TrainingSet(tuple(pairs[int(j)] for j in perm))
-        if not measures.measures_equal(
-                whole.measure, supervised.posterior(model, shuffled).measure, tol):
-            bad.append(_fail(i, "posterior-exchangeable"))
-        t = supervised.TestInputs(tuple(
-            inputs.labels[int(j)]
-            for j in rng.integers(0, inputs.size, size=int(rng.integers(1, 3)))))
-        if not supervised.restriction_consistency(model, s_all, t, tol):
-            bad.append(_fail(i, "restriction-consistency"))
-    return bad
+    thetas = random_space(rng, 5, "t")
+    inputs = random_space(rng, 5, "a")
+    labels = random_space(rng, 4, "y")
+    prior = random_prob(rng, thetas, scalar)
+    rows = np.array([[random_prob_weights(rng, labels.size, scalar)
+                      for _ in range(inputs.size)] for _ in range(thetas.size)])
+    model = supervised.SupervisedModel(prior, inputs, labels, rows)
+    npairs = int(rng.integers(1, 5))
+    pairs = tuple(
+        (inputs.labels[int(rng.integers(0, inputs.size))],
+         labels.labels[int(rng.integers(0, labels.size))])
+        for _ in range(npairs))
+    s_all = supervised.TrainingSet(pairs)
+    cut = int(rng.integers(0, npairs + 1))
+    s_a, s_b = supervised.TrainingSet(pairs[:cut]), supervised.TrainingSet(pairs[cut:])
+    whole = supervised.posterior(model, s_all)
+    oracle = batch_posterior(model, s_all)
+    yield "posterior-batch-inversion", (
+        whole.null_evidence == oracle.null_evidence
+        and measures.measures_equal(whole.measure, oracle.measure, tol))
+    stage1 = supervised.posterior(model, s_a)
+    model2 = replace(model, prior=measures.prob_measure(thetas, stage1.measure.weights))
+    stage2 = supervised.posterior(model2, s_b)
+    yield "sequential-update", measures.measures_equal(whole.measure, stage2.measure, tol)
+    perm = rng.permutation(npairs)
+    shuffled = supervised.TrainingSet(tuple(pairs[int(j)] for j in perm))
+    yield "posterior-exchangeable", measures.measures_equal(
+        whole.measure, supervised.posterior(model, shuffled).measure, tol)
+    t = supervised.TestInputs(tuple(
+        inputs.labels[int(j)]
+        for j in rng.integers(0, inputs.size, size=int(rng.integers(1, 3)))))
+    yield "restriction-consistency", supervised.restriction_consistency(model, s_all, t, tol)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian checks (float arithmetic by nature)
 
-def check_gaussian_algebra(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_gaussian_algebra(rng, scalar: str, tol: float):
     """Composition associativity and pushforward functoriality for
     affine maps with Gaussian noise."""
     tol = max(tol, 1e-9)
-    bad = []
-    for i in range(trials):
-        dims = [int(d) for d in rng.integers(1, 4, size=4)]
-        t1 = random_affine_map(rng, dims[0], dims[1])
-        t2 = random_affine_map(rng, dims[1], dims[2])
-        t3 = random_affine_map(rng, dims[2], dims[3])
-        left = gaussian.gauss_compose(gaussian.gauss_compose(t1, t2), t3)
-        right = gaussian.gauss_compose(t1, gaussian.gauss_compose(t2, t3))
-        close = (np.allclose(left.A, right.A, atol=tol)
-                 and np.allclose(left.b, right.b, atol=tol)
-                 and np.allclose(left.noise, right.noise, atol=tol))
-        if not close:
-            bad.append(_fail(i, "gauss-compose-associative"))
-        g = random_gaussian(rng, dims[0])
-        via = gaussian.gauss_pushforward(t2, gaussian.gauss_pushforward(t1, g))
-        direct = gaussian.gauss_pushforward(gaussian.gauss_compose(t1, t2), g)
-        if not gaussian.gaussians_equal(direct, via, tol):
-            bad.append(_fail(i, "gauss-pushforward-functorial"))
-        h = random_gaussian(rng, dims[1])
-        co = gaussian.gauss_convolve(gaussian.gauss_pushforward(t1, g), h)
-        oc = gaussian.gauss_convolve(h, gaussian.gauss_pushforward(t1, g))
-        if not gaussian.gaussians_equal(co, oc, tol):
-            bad.append(_fail(i, "gauss-convolve-commutative"))
-    return bad
+    dims = [int(d) for d in rng.integers(1, 4, size=4)]
+    t1 = random_affine_map(rng, dims[0], dims[1])
+    t2 = random_affine_map(rng, dims[1], dims[2])
+    t3 = random_affine_map(rng, dims[2], dims[3])
+    left = gaussian.gauss_compose(gaussian.gauss_compose(t1, t2), t3)
+    right = gaussian.gauss_compose(t1, gaussian.gauss_compose(t2, t3))
+    yield "gauss-compose-associative", (
+        np.allclose(left.A, right.A, atol=tol)
+        and np.allclose(left.b, right.b, atol=tol)
+        and np.allclose(left.noise, right.noise, atol=tol))
+    g = random_gaussian(rng, dims[0])
+    via = gaussian.gauss_pushforward(t2, gaussian.gauss_pushforward(t1, g))
+    direct = gaussian.gauss_pushforward(gaussian.gauss_compose(t1, t2), g)
+    yield "gauss-pushforward-functorial", gaussian.gaussians_equal(direct, via, tol)
+    h = random_gaussian(rng, dims[1])
+    co = gaussian.gauss_convolve(gaussian.gauss_pushforward(t1, g), h)
+    oc = gaussian.gauss_convolve(h, gaussian.gauss_pushforward(t1, g))
+    yield "gauss-convolve-commutative", gaussian.gaussians_equal(co, oc, tol)
 
 
-def check_gaussian_inversion(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_gaussian_inversion(rng, scalar: str, tol: float):
     """Inverting an affine-Gaussian model reproduces the joint from the
     other direction, and inverting twice returns the model."""
     tol = max(tol, 1e-7)
-    bad = []
-    for i in range(trials):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        prior = random_gaussian(rng, n, min_var=0.3)
-        t = random_affine_map(rng, n, m, min_noise=0.3)
-        inv = gaussian.gauss_invert(t, prior)
-        pred = gaussian.gauss_pushforward(t, prior)
-        joint = gaussian.gauss_graph(t, prior)
-        joint_back = gaussian.gauss_swap_blocks(
-            gaussian.gauss_graph(inv, pred), m)
-        if not gaussian.gaussians_equal(joint, joint_back, tol):
-            bad.append(_fail(i, "gauss-inversion-identity"))
-        back = gaussian.gauss_invert(inv, pred)
-        close = (np.allclose(back.A, t.A, atol=tol)
-                 and np.allclose(back.b, t.b, atol=tol)
-                 and np.allclose(back.noise, t.noise, atol=tol))
-        if not close:
-            bad.append(_fail(i, "gauss-double-inversion"))
-    return bad
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 4))
+    prior = random_gaussian(rng, n, min_var=0.3)
+    t = random_affine_map(rng, n, m, min_noise=0.3)
+    inv = gaussian.gauss_invert(t, prior)
+    pred = gaussian.gauss_pushforward(t, prior)
+    joint = gaussian.gauss_graph(t, prior)
+    joint_back = gaussian.gauss_swap_blocks(
+        gaussian.gauss_graph(inv, pred), m)
+    yield "gauss-inversion-identity", gaussian.gaussians_equal(joint, joint_back, tol)
+    back = gaussian.gauss_invert(inv, pred)
+    yield "gauss-double-inversion", (
+        np.allclose(back.A, t.A, atol=tol)
+        and np.allclose(back.b, t.b, atol=tol)
+        and np.allclose(back.noise, t.noise, atol=tol))
 
 
-def check_gp_two_route(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_gp_two_route(rng, scalar: str, tol: float):
     """The closed-form GP posterior predictive equals generic
     conditioning of the joint Gaussian on the training outputs."""
     tol = max(tol, 1e-10)
-    bad = []
-    for i in range(trials):
-        n = int(rng.integers(1, 11))
-        m = int(rng.integers(1, 6))
-        gp = supervised.GPModel(
-            mean_fn=supervised.constant_mean(float(rng.normal())),
-            cov_fn=supervised.squared_exponential(
-                length_scale=float(rng.uniform(0.5, 2.0)),
-                amplitude=float(rng.uniform(0.5, 2.0))),
-            noise_var=float(rng.uniform(0.1, 1.0)))
-        xs = rng.uniform(-3, 3, size=n)
-        ts = rng.uniform(-3, 3, size=m)
-        ys = np.sin(xs) + rng.normal(size=n) * 0.3
-        s = supervised.TrainingSet(tuple(zip(xs.tolist(), ys.tolist())))
-        t = supervised.TestInputs(tuple(ts.tolist()))
-        direct = supervised.gp_posterior_predictive(gp, s, t)
-        joint = supervised.gp_joint(gp, xs.tolist(), ts.tolist())
-        routed = gaussian.gauss_condition(joint, m, ys)
-        if not gaussian.gaussians_equal(direct, routed, tol):
-            bad.append(_fail(i, "gp-two-route"))
-    return bad
+    n = int(rng.integers(1, 11))
+    m = int(rng.integers(1, 6))
+    gp = supervised.GPModel(
+        mean_fn=supervised.constant_mean(float(rng.normal())),
+        cov_fn=supervised.squared_exponential(
+            length_scale=float(rng.uniform(0.5, 2.0)),
+            amplitude=float(rng.uniform(0.5, 2.0))),
+        noise_var=float(rng.uniform(0.1, 1.0)))
+    xs = rng.uniform(-3, 3, size=n)
+    ts = rng.uniform(-3, 3, size=m)
+    ys = np.sin(xs) + rng.normal(size=n) * 0.3
+    s = supervised.TrainingSet(tuple(zip(xs.tolist(), ys.tolist())))
+    t = supervised.TestInputs(tuple(ts.tolist()))
+    direct = supervised.gp_posterior_predictive(gp, s, t)
+    joint = supervised.gp_joint(gp, xs.tolist(), ts.tolist())
+    routed = gaussian.gauss_condition(joint, m, ys)
+    yield "gp-two-route", gaussian.gaussians_equal(direct, routed, tol)
 
 
-def check_gaussian_finite_bridge(rng, trials: int, scalar: str, tol: float) -> list:
+@_trials
+def check_gaussian_finite_bridge(rng, scalar: str, tol: float):
     """Exact 1-D Gaussian inversion against brute-force inversion of the
     discretized model (relative moment error at most 1e-3)."""
-    bad = []
-    for i in range(trials):
-        # positive prior mean and a y above the predictive mean keep the
-        # posterior moments bounded away from 0, so relative error is sane
-        prior = gaussian.GaussianMeasure([float(rng.uniform(0.5, 1.5))],
-                                         [[float(rng.uniform(0.5, 2.0))]])
-        t = gaussian.AffineGaussianMap(
-            [[float(rng.uniform(0.5, 1.5))]],
-            [float(rng.uniform(-0.5, 0.5))],
-            [[float(rng.uniform(0.25, 4.0))]])
-        finite = gaussian.discretize_model_1d(prior, t)
-        pred = gaussian.gauss_pushforward(t, prior)
-        y_wanted = float(pred.mean[0] + 1.1 * math.sqrt(pred.cov[0, 0]))
-        obs_labels = np.asarray(finite.observations.labels)
-        y = float(obs_labels[int(np.argmin(np.abs(obs_labels - y_wanted)))])
-        inv_f = bayes.bayes_invert(finite).kernel.row(y)
-        exact = gaussian.gauss_invert(t, prior).at([y])
-        mean_f = float(measures.expectation(inv_f))
-        var_f = float(measures.expectation(inv_f, lambda c: (c - mean_f) ** 2))
-        rel = lambda a, b: abs(a - b) / max(abs(a), abs(b))
-        if rel(mean_f, float(exact.mean[0])) > 1e-3 or \
-           rel(var_f, float(exact.cov[0, 0])) > 1e-3:
-            bad.append(_fail(i, "gaussian-finite-bridge",
-                             mean_finite=mean_f, mean_exact=float(exact.mean[0]),
-                             var_finite=var_f, var_exact=float(exact.cov[0, 0])))
-    return bad
+    # positive prior mean and a y above the predictive mean keep the
+    # posterior moments bounded away from 0, so relative error is sane
+    prior = gaussian.GaussianMeasure([float(rng.uniform(0.5, 1.5))],
+                                     [[float(rng.uniform(0.5, 2.0))]])
+    t = gaussian.AffineGaussianMap(
+        [[float(rng.uniform(0.5, 1.5))]],
+        [float(rng.uniform(-0.5, 0.5))],
+        [[float(rng.uniform(0.25, 4.0))]])
+    finite = gaussian.discretize_model_1d(prior, t)
+    pred = gaussian.gauss_pushforward(t, prior)
+    y_wanted = float(pred.mean[0] + 1.1 * math.sqrt(pred.cov[0, 0]))
+    obs_labels = np.asarray(finite.observations.labels)
+    y = float(obs_labels[int(np.argmin(np.abs(obs_labels - y_wanted)))])
+    inv_f = bayes.bayes_invert(finite).kernel.row(y)
+    exact = gaussian.gauss_invert(t, prior).at([y])
+    mean_f = float(measures.expectation(inv_f))
+    var_f = float(measures.expectation(inv_f, lambda c: (c - mean_f) ** 2))
+    rel = lambda a, b: abs(a - b) / max(abs(a), abs(b))
+    # written as the negated failure test, so a NaN moment passes
+    yield "gaussian-finite-bridge", not (
+        rel(mean_f, float(exact.mean[0])) > 1e-3
+        or rel(var_f, float(exact.cov[0, 0])) > 1e-3), {
+        "mean_finite": mean_f, "mean_exact": float(exact.mean[0]),
+        "var_finite": var_f, "var_exact": float(exact.cov[0, 0])}
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +463,25 @@ GAUSSIAN_CHECKS = [
 
 def run_checks(seed: int, trials: int, backend: str = "both",
                tolerance: float = 1e-9) -> list:
-    """Run every law family and return a list of CheckReport."""
+    """Run every law family and return a list of CheckReport.  Each
+    family draws from its own ``default_rng(seed)``."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise SchemaError(f"seed must be a non-negative integer, got {_clip(seed)}")
+    if not (isinstance(trials, numbers.Integral) and trials >= 0):
+        raise SchemaError(f"trials must be a non-negative integer, got {_clip(trials)}")
+    if not (isinstance(tolerance, numbers.Real) and 0 <= tolerance < math.inf):
+        raise SchemaError(f"tolerance must be a finite number >= 0, got {_clip(tolerance)}")
     if backend not in ("rational", "float", "both"):
-        raise ValueError(f"unknown backend {backend!r}")
+        raise SchemaError(f"unknown backend {_clip(backend)}; "
+                          "expected rational, float or both")
     scalars = [RATIONAL, FLOAT] if backend == "both" else [backend]
+    runs = [(f"{name}[{scalar}]", fn, cap, scalar)
+            for name, fn, cap in FINITE_CHECKS for scalar in scalars]
+    runs += [(name, fn, cap, FLOAT) for name, fn, cap in GAUSSIAN_CHECKS]
     reports = []
-    for name, fn, cap in FINITE_CHECKS:
-        for scalar in scalars:
-            t = min(trials, cap) if cap else trials
-            rng = np.random.default_rng(seed)
-            reports.append(CheckReport(
-                name=f"{name}[{scalar}]", trials=t,
-                failures=fn(rng, t, scalar, tolerance)))
-    for name, fn, cap in GAUSSIAN_CHECKS:
+    for name, fn, cap, scalar in runs:
         t = min(trials, cap) if cap else trials
-        rng = np.random.default_rng(seed)
         reports.append(CheckReport(
-            name=name, trials=t, failures=fn(rng, t, FLOAT, tolerance)))
+            name=name, trials=t,
+            failures=fn(np.random.default_rng(seed), t, scalar, tolerance)))
     return reports

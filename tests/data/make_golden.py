@@ -10,10 +10,14 @@ wrote with ``--backend float`` (invert-float.json, posterior-float.json,
 predictive-float.json).  Each GP case directory holds a GP
 config and training and test CSVs (gp.json, train.csv, test.csv) and
 what ``gp-predict --output gp-predict.csv`` wrote for them
-(gp-predict.csv, gp-predict.cov.json).  tests/test_golden.py checks
-that the CLI still writes exactly those bytes.  The expected artifacts are a
-reference, not a convenience: rewrite them only for a deliberate change
-of output, and say so in CHANGES.md.
+(gp-predict.csv, gp-predict.cov.json).  check-laws.json is the report
+of ``check-laws --seed 3 --trials 40 --tolerance 0``: at tolerance 0
+rounding breaks laws in every float finite family, so its failure
+records pin the order of each family's draws and the shape of a record.
+tests/test_golden.py checks that the CLI still writes exactly those
+bytes.  The expected artifacts are a reference, not a convenience:
+rewrite them only for a deliberate change of output, and say so in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -160,6 +164,13 @@ def gp_command(d: Path, output: Path) -> list:
             "--output", str(output)]
 
 
+# The law-check run behind check-laws.json, and the exit code it gives:
+# 4, because the report lists counterexamples.
+LAW_COMMAND = ["check-laws", "--seed", "3", "--trials", "40", "--tolerance", "0"]
+LAW_EXIT = 4
+LAW_REPORT = GOLDEN / "check-laws.json"
+
+
 def write_case(name: str, case: dict) -> None:
     d = GOLDEN / name
     d.mkdir(parents=True, exist_ok=True)
@@ -181,8 +192,14 @@ def write_gp_case(name: str, case: dict) -> None:
         sys.exit(f"{name}: gp-predict failed")
 
 
+def write_law_report() -> None:
+    if main(LAW_COMMAND + ["--output", str(LAW_REPORT)]) != LAW_EXIT:
+        sys.exit(f"check-laws did not exit {LAW_EXIT}")
+
+
 if __name__ == "__main__":
     for name, case in CASES.items():
         write_case(name, case)
     for name, case in GP_CASES.items():
         write_gp_case(name, case)
+    write_law_report()

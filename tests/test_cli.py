@@ -590,6 +590,20 @@ class TestCheckLaws:
         assert "composition[rational]" in names
         assert "composition[float]" not in names
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed=-1"], "seed must be a non-negative integer, got -1"),
+        (["--trials=-1"], "trials must be a non-negative integer, got -1"),
+        (["--tolerance=nan"], "tolerance must be a finite number >= 0, got nan"),
+        (["--tolerance=inf"], "tolerance must be a finite number >= 0, got inf"),
+        (["--tolerance=-1", "--backend", "float"],
+         "tolerance must be a finite number >= 0, got -1.0"),
+    ], ids=["negative-seed", "negative-trials", "nan-tolerance", "inf-tolerance",
+            "negative-tolerance"])
+    def test_bad_flags_exit_2_with_one_json_line(self, capsys, flags, message):
+        assert main(["check-laws"] + flags) == 2
+        assert _one_short_error(capsys.readouterr()) == {
+            "type": "SchemaError", "message": message}
+
     def test_mutated_composition_is_caught(self, monkeypatch, capsys):
         real = probmorph.kernels.compose
 

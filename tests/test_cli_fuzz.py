@@ -7,6 +7,9 @@ or duplicated (ragged rows, count mismatches), and, for `posterior`, long
 training sets; `gp-predict` also gets good and bad `--jitter` values.
 Whatever the input, the CLI must exit 0, 2 or 3, print valid output on 0
 and exactly one JSON error object otherwise, and never raise.
+`check-laws` gets good and bad `--seed`, `--trials`, `--tolerance` and
+`--backend` values, and must exit 0, 2 or 4, with a valid report on 0
+and 4.
 """
 
 import contextlib
@@ -102,10 +105,10 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check(code, out, err, csv_output=False):
-    assert code in (0, 2, 3)
+def _check(code, out, err, csv_output=False, codes=(0, 2, 3)):
+    assert code in codes
     assert "Traceback" not in err
-    if code == 0:
+    if code in (0, 4):
         assert err == ""
         if csv_output:
             rows = list(csv.reader(io.StringIO(out)))
@@ -174,3 +177,17 @@ def test_gp_predict_on_mutated_inputs(config, train, test, jitter):
                       "--data", _write_csv(tmp, "train.csv", train),
                       "--test", _write_csv(tmp, "test.csv", test)] + jitter),
                csv_output=True)
+
+
+@FUZZ
+@given(seed=st.sampled_from(["0", "3", "-1", str(2 ** 70)]),
+       trials=st.sampled_from(["0", "1", "2", "-1"]),
+       tolerance=st.sampled_from(["0", "1e-9", "1e308", "-1", "nan", "inf"]),
+       backend=st.sampled_from([[], ["--backend", "rational"], ["--backend", "float"],
+                                ["--backend", "both"]]))
+def test_check_laws_on_drawn_flags(seed, trials, tolerance, backend):
+    code, out, err = _run(["check-laws", f"--seed={seed}", f"--trials={trials}",
+                           f"--tolerance={tolerance}"] + backend)
+    _check(code, out, err, codes=(0, 2, 4))
+    if code != 2:
+        assert (json.loads(out)["total_failures"] == 0) == (code == 0)

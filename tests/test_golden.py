@@ -1,5 +1,5 @@
-"""The CLI reproduces committed rational, float and GP artifacts byte for
-byte.
+"""The CLI reproduces committed rational, float and GP artifacts, and one
+law-check report, byte for byte.
 
 The fixtures under tests/data/golden/ were written by
 tests/data/make_golden.py; see its docstring before regenerating them.
@@ -49,3 +49,9 @@ def test_gp_artifacts_are_byte_identical(tmp_path, case):
     assert main(make_golden.gp_command(d, tmp_path / "gp-predict.csv")) == 0
     for name in ("gp-predict.csv", "gp-predict.cov.json"):
         assert (tmp_path / name).read_bytes() == (d / name).read_bytes()
+
+
+def test_law_report_is_byte_identical(tmp_path):
+    out = tmp_path / "check-laws.json"
+    assert main(make_golden.LAW_COMMAND + ["--output", str(out)]) == make_golden.LAW_EXIT
+    assert out.read_bytes() == make_golden.LAW_REPORT.read_bytes()

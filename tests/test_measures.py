@@ -550,6 +550,10 @@ GP = pm.GPModel(pm.zero_mean(), pm.squared_exponential(), 0.1)
      "grid axis of 1e+300 cells, over the limit of 4096 per axis"),
     (lambda: pm.GridSpec((0.0, 0.0), (1.0, 1.0), (0.25, 1 / 4097)),
      "grid axis of 4097 cells, over the limit of 4096 per axis"),
+    (lambda: pm.GridSpec((0.0,), (1.0,), (3.0,)),
+     "grid axis has no cells: 0.333333 cells round to 0"),
+    (lambda: pm.GridSpec((0.0, 0.0), (1.0, 1.0), (0.25, 2.0)),
+     "grid axis has no cells: 0.5 cells round to 0"),
     (lambda: pm.gp_posterior_predictive(GP, pm.TrainingSet(((0.0, 1.0),)),
                                         pm.TestInputs((0.0,)), jitter=NAN),
      "jitter nan must be finite and nonnegative"),
@@ -566,7 +570,8 @@ GP = pm.GPModel(pm.zero_mean(), pm.squared_exponential(), 0.1)
         "predictive-list-point", "map-list-assignment", "triple-pair", "bare-pair",
         "grid-string", "grid-nan", "grid-inf", "grid-nan-step", "grid-overflowing-cells",
         "gp-string-noise", "se-string-length", "mean-string", "mean-inf", "mean-huge-int",
-        "string-pair", "dict-pair", "grid-tiny-step", "grid-one-cell-over", "jitter-nan",
+        "string-pair", "dict-pair", "grid-tiny-step", "grid-one-cell-over", "grid-no-cells",
+        "grid-half-cell-second-axis", "jitter-nan",
         "jitter-huge-int", "gp-huge-int-noise", "se-huge-int-length",
         "se-int-amplitude-squared-overflows"])
 def test_library_constructors_refuse_bad_input_with_schema_error(build, message):
