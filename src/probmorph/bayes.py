@@ -18,6 +18,7 @@ from .measures import (
     DEFAULT_TOLERANCE,
     FiniteMeasure,
     FiniteSpace,
+    _normalized_rows,
     _one_of,
     arrays_equal,
     prob_measure,
@@ -85,16 +86,6 @@ def predictive_measure(model: BayesModel) -> FiniteMeasure:
     return pushforward(model.sampling, model.prior)
 
 
-def _conditionals(w: np.ndarray, fallback) -> tuple:
-    """The conditioning step: each row of ``w`` divided by its mass, and
-    ``fallback`` in the rows of zero mass, with the mask of those rows."""
-    mass = w.sum(axis=1)
-    null = mass == 0
-    rows = w / np.where(null, 1, mass)[:, None]
-    rows[null] = fallback
-    return rows, null
-
-
 def disintegrate(mu: FiniteMeasure) -> FiniteKernel:
     """Conditional kernel of the second factor given the first.
 
@@ -110,7 +101,8 @@ def disintegrate(mu: FiniteMeasure) -> FiniteKernel:
     if not mu.is_nonnegative():
         raise SchemaError("disintegration needs a nonnegative measure")
     xs, ys = factors
-    rows, _ = _conditionals(mu.weights.reshape(xs.size, ys.size), _one_of(mu.scalar) / ys.size)
+    rows, _ = _normalized_rows(mu.weights.reshape(xs.size, ys.size),
+                               _one_of(mu.scalar) / ys.size)
     return FiniteKernel(xs, ys, rows)
 
 
@@ -122,8 +114,8 @@ def bayes_invert(model: BayesModel) -> InversionResult:
     label is listed in ``null_points``.
     """
     # The joint (x, theta), conditioned on x; its row masses are the predictive.
-    rows, null = _conditionals(model.sampling.rows.T * model.prior.weights,
-                               model.prior.weights)
+    prior = model.prior.weights
+    rows, null = _normalized_rows(model.sampling.rows.T, prior, scale=prior)
     kernel = FiniteKernel(model.observations, model.parameters, rows)
     labels = model.observations.labels
     return InversionResult(kernel=kernel,

@@ -23,7 +23,9 @@ from .measures import (
     FiniteSpace,
     _as_float_array,
     _freeze,
+    _matmul,
     _one_of,
+    _row_sums,
     _scalar_of_dtype,
     _stochastic_rows,
     arrays_equal,
@@ -137,7 +139,7 @@ def compose(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
     if t1.target != t2.source:
         raise SchemaError("kernels do not compose: target/source mismatch")
     require_same_scalar(t1, t2)
-    return FiniteKernel(t1.source, t2.target, t1.rows @ t2.rows)
+    return FiniteKernel(t1.source, t2.target, _matmul(t1.rows, t2.rows))
 
 
 def pushforward(t: FiniteKernel, m: FiniteMeasure) -> FiniteMeasure:
@@ -146,7 +148,7 @@ def pushforward(t: FiniteKernel, m: FiniteMeasure) -> FiniteMeasure:
     if m.space != t.source:
         raise SchemaError("measure lives on the wrong space for this kernel")
     require_same_scalar(t, m)
-    return FiniteMeasure(t.target, m.weights @ t.rows)
+    return FiniteMeasure(t.target, _matmul(m.weights, t.rows))
 
 
 def pullback(t: FiniteKernel, g: BoundedFunction) -> BoundedFunction:
@@ -156,7 +158,7 @@ def pullback(t: FiniteKernel, g: BoundedFunction) -> BoundedFunction:
     if g.space != t.target:
         raise SchemaError("function lives on the wrong space for this kernel")
     require_same_scalar(t, g)
-    return BoundedFunction(t.source, t.rows @ g.values)
+    return BoundedFunction(t.source, _matmul(t.rows, g.values))
 
 
 def join(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:
@@ -197,7 +199,7 @@ def marginal(m: FiniteMeasure, axis: int) -> FiniteMeasure:
         raise SchemaError(f"axis {axis} out of range for {len(factors)} factors")
     shaped = m.weights.reshape(tuple(f.size for f in factors))
     other = tuple(i for i in range(len(factors)) if i != axis)
-    return FiniteMeasure(factors[axis], shaped.sum(axis=other))
+    return FiniteMeasure(factors[axis], _row_sums(shaped, other))
 
 
 def product_kernel(t1: FiniteKernel, t2: FiniteKernel) -> FiniteKernel:

@@ -8,9 +8,11 @@ mixed implicitly; convert with ``as_float``.
 
 Everything that differs between the backends lives in this module: the
 backend values (``zeros_like_backend``, ``_one_of``), equality
-(``arrays_equal``) and the validation of nonnegative and probability
-weights.  Elsewhere comparing with the Python ints 0 and 1 is exact on
-both backends.
+(``arrays_equal``), the validation of nonnegative and probability
+weights, and the sums and products the other modules compute
+(``_row_sums``, ``_matmul``, ``_product``, ``_normalized_rows``), which
+run on integer numerators on the rational backend.  Elsewhere comparing
+with the Python ints 0 and 1 is exact on both backends.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul, ne
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -158,13 +161,25 @@ def _element_types(values) -> set:
 
 
 def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
+    if isinstance(x, str):          # first: isinstance(x, Fraction) is an ABC check
+        # Plain ASCII "p/q" and integers go through int(); every other
+        # string, a zero denominator and a part over the int/str digit
+        # limit go to Fraction's parser, for its value or its reason.
+        p, slash, q = x.partition("/")
+        if x.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+            try:
+                n, d = int(p), int(q) if slash else 1
+            except ValueError:
+                pass
+            else:
+                if d:
+                    return Fraction(n, d)
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:    # also the int/str limit
             raise SchemaError(f"bad rational {_clip(x)}: {_clip(e, 160)}") from None
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, (float, np.floating)):
@@ -271,14 +286,163 @@ def _at(bad: np.ndarray) -> str:
     return f" at row {row[0] if len(row) == 1 else row}" if row else ""
 
 
-def _check_nonnegative(arr: np.ndarray, what: str) -> np.ndarray:
-    """Refuse negative entries, naming their row, and non-finite floats.
-    Float entries in [-NEG_WEIGHT_TOL, 0) are rounding noise: the
-    returned array has them clamped to 0."""
+# ---------------------------------------------------------------------------
+# exact arithmetic on integer numerators
+#
+# A Fraction operator pays a gcd and an ABC dispatch on every call.  The
+# helpers below read each Fraction's numerator and denominator once, put
+# each row over the lcm of its denominators, do every product and sum on
+# Python ints (a matrix product in numpy's object loop) and build one
+# reduced Fraction per output entry.  Flat lists keep the fixed cost of a
+# call to a few microseconds.  On float64 arrays each helper is exactly
+# the numpy operation it names.
+
+def _ints(arr: np.ndarray) -> tuple:
+    """The numerators and the denominators of a Fraction array, as two
+    flat lists of Python ints in row-major order."""
+    flat = arr.ravel().tolist()
+    return [q.numerator for q in flat], [q.denominator for q in flat]
+
+
+def _int_arrays(arr: np.ndarray) -> tuple:
+    """``_ints(arr)`` as two object arrays of the shape of ``arr``."""
+    return tuple(np.array(p, dtype=object).reshape(arr.shape) for p in _ints(arr))
+
+
+def _from_ints(nums, dens, shape) -> np.ndarray:
+    """The array of ``shape`` of the reduced Fractions nums[i] / dens[i]."""
+    return np.array(list(map(Fraction, nums, dens)), dtype=object).reshape(shape)
+
+
+def _over_lcm(nums: list, dens: list, k: int) -> tuple:
+    """The rows of ``k`` entries of nums/dens over the lcm of their
+    denominators: the scaled numerators (flat) and each row's lcm."""
+    scaled, lcms = [], []
+    for i in range(0, len(nums), k):
+        row = dens[i:i + k]
+        lcm = math.lcm(*row)
+        scaled += map(mul, nums[i:i + k], [lcm // d for d in row])
+        lcms.append(lcm)
+    return scaled, lcms
+
+
+def _sums(flat: list, k: int) -> list:
+    """The sum of each row of ``k`` entries of a flat list."""
+    return [sum(flat[i:i + k]) for i in range(0, len(flat), k)]
+
+
+def _row_sums(arr: np.ndarray, axis=-1) -> np.ndarray:
+    """``arr.sum(axis=axis)``; ``axis`` is an int or a tuple of ints."""
+    if arr.dtype == np.float64:
+        return arr.sum(axis=axis)
+    if axis != -1:                  # the summed axes last, as one
+        axes = (axis,) if isinstance(axis, int) else tuple(axis)
+        keep = arr.ndim - len(axes)
+        arr = np.moveaxis(arr, axes, range(keep, arr.ndim))
+        arr = arr.reshape(arr.shape[:keep] + (-1,))
+    k = arr.shape[-1]
+    scaled, lcms = _over_lcm(*_ints(arr), k)
+    return _from_ints(_sums(scaled, k), lcms, arr.shape[:-1])
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 1-D or 2-D ``a`` and ``b``, not both 1-D.  Exact:
+    the rows of ``a`` over their lcm, ``b`` over one common denominator."""
+    if a.dtype == np.float64:
+        return a @ b
+    rows, lcms = _over_lcm(*_ints(a), a.shape[-1])
+    nums, dens = _ints(b)
+    lcm_b = math.lcm(*dens)
+    prod = (np.array(rows, dtype=object).reshape(a.shape)
+            @ np.array([n * (lcm_b // d) for n, d in zip(nums, dens)],
+                       dtype=object).reshape(b.shape))
+    per_row = b.shape[1] if b.ndim == 2 else 1
+    return _from_ints(prod.ravel().tolist(),
+                      [lcm * lcm_b for lcm in lcms for _ in range(per_row)], prod.shape)
+
+
+# A float running product whose largest entry falls below this is
+# rescaled by a power of two, so a long product cannot underflow.
+_RESCALE_BELOW = 2.0 ** -500
+
+
+def _product(*factors: np.ndarray, rescale: bool = False) -> np.ndarray:
+    """The broadcast product of ``factors``, multiplied left to right.
+
+    With ``rescale``, a float running product is kept from underflowing:
+    the result is then known only up to a positive power-of-two factor.
+    Exact products need no rescaling.
+    """
+    if factors[0].dtype == np.float64:
+        out = factors[0]
+        for f in factors[1:]:
+            out = out * f
+            if rescale:
+                top = out.max()
+                if 0.0 < top < _RESCALE_BELOW:
+                    out = np.ldexp(out, -np.frexp(top)[1])
+        return out
+    if len(factors) == 1:
+        return factors[0]
+    num, den = _int_arrays(factors[0])
+    for f in factors[1:]:
+        n, d = _int_arrays(f)
+        num, den = num * n, den * d
+    return _from_ints(num.ravel().tolist(), den.ravel().tolist(), num.shape)
+
+
+def _normalized_rows(w: np.ndarray, fallback, scale=None) -> tuple:
+    """The conditioning step: each row of the 2-D ``w`` (times ``scale``,
+    one factor per column) divided by its mass, and ``fallback`` in the
+    rows of zero mass, with the mask of those rows."""
+    if w.dtype == np.float64:
+        if scale is not None:
+            w = w * scale
+        mass = w.sum(axis=1)
+        null = mass == 0
+        rows = w / np.where(null, 1, mass)[:, None]
+        rows[null] = fallback
+        return rows, null
+    n, k = w.shape
+    nums, dens = _ints(w)
+    if scale is not None:
+        snums, sdens = _ints(scale)
+        nums, dens = list(map(mul, nums, snums * n)), list(map(mul, dens, sdens * n))
+    scaled, _ = _over_lcm(nums, dens, k)    # row i over its lcm, which cancels
+    rows = np.empty(w.shape, dtype=object)
+    null = np.zeros(n, dtype=bool)
+    for i in range(n):
+        row = scaled[i * k:(i + 1) * k]
+        mass = sum(row)
+        if mass:
+            rows[i] = list(map(Fraction, row, itertools.repeat(mass, k)))
+        else:
+            null[i] = True
+    rows[null] = fallback
+    return rows, null
+
+
+def _check_weights(arr: np.ndarray, what: str, rows: str | None = None) -> np.ndarray:
+    """Refuse negative entries and non-finite floats; with ``rows``, also
+    rows (along the last axis) that do not sum to 1, exactly on the
+    rational backend and within PROB_SUM_TOL on the float backend.  A
+    refusal names the first bad row.  Float entries in
+    [-NEG_WEIGHT_TOL, 0) are rounding noise: the returned array has them
+    clamped to 0."""
     if arr.dtype != np.float64:
-        neg = arr < 0
-        if neg.any():
+        nums, dens = _ints(arr)
+        if nums and min(nums) < 0:        # a Fraction has its numerator's sign
+            neg = np.array([n < 0 for n in nums], dtype=bool).reshape(arr.shape)
             raise SchemaError(f"negative weight {arr[neg][0]} in a {what}{_at(neg.any(-1))}")
+        if rows is not None:
+            k = arr.shape[-1]
+            scaled, lcms = _over_lcm(nums, dens, k)
+            sums = _sums(scaled, k)
+            if sums != lcms:                        # row i sums to sums[i] / lcms[i]
+                bad = np.array(list(map(ne, sums, lcms)), dtype=bool)
+                i = int(bad.argmax())
+                raise SchemaError(f"rational {rows} must sum to 1, got "
+                                  f"{Fraction(sums[i], lcms[i])}{_at(bad.reshape(arr.shape[:-1]))}")
         return arr
     total = float(arr.sum())               # NaN and inf propagate into the sum
     if not math.isfinite(total):
@@ -286,21 +450,15 @@ def _check_nonnegative(arr: np.ndarray, what: str) -> np.ndarray:
     low = float(arr.min(initial=0.0))
     if low < -NEG_WEIGHT_TOL:
         raise SchemaError(f"negative weight {low:.6g} in a {what}{_at((arr == low).any(-1))}")
-    return np.where(arr < 0.0, 0.0, arr) if low < 0.0 else arr
-
-
-def _check_sums_to_one(sums: np.ndarray, what: str) -> None:
-    """Every sum must be 1: exactly on the rational backend, within
-    PROB_SUM_TOL on the float backend; a refusal names the first bad row."""
-    if sums.dtype != np.float64:
-        bad = sums != 1
+    if low < 0.0:
+        arr = np.where(arr < 0.0, 0.0, arr)
+    if rows is not None:
+        sums = np.asarray(arr.sum(axis=-1))
+        bad = ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)         # NaN is bad too
         if bad.any():
-            raise SchemaError(f"rational {what} must sum to 1, got {sums[bad][0]}{_at(bad)}")
-        return
-    bad = ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)         # NaN is bad too
-    if bad.any():
-        raise SchemaError(f"float {what} must sum to 1, off by {abs(sums[bad][0] - 1.0):.3g} "
-                          f"(tolerance {PROB_SUM_TOL}){_at(bad)}")
+            raise SchemaError(f"float {rows} must sum to 1, off by {abs(sums[bad][0] - 1.0):.3g} "
+                              f"(tolerance {PROB_SUM_TOL}){_at(bad)}")
+    return arr
 
 
 def _stochastic_rows(values, shape: tuple, what: str, scalar: str | None = None) -> np.ndarray:
@@ -308,9 +466,7 @@ def _stochastic_rows(values, shape: tuple, what: str, scalar: str | None = None)
     arr = as_scalar_array(values, scalar)
     if arr.shape != shape:
         raise SchemaError(f"expected rows of shape {shape}, got {arr.shape}")
-    arr = _check_nonnegative(arr, what)
-    _check_sums_to_one(arr.sum(axis=-1), f"{what} rows")
-    return arr
+    return _check_weights(arr, what, f"{what} rows")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +497,7 @@ class FiniteMeasure:
         return self.weights[self.space.index(label)]
 
     def total(self):
-        return self.weights.sum()
+        return _row_sums(self.weights)[()]
 
     def is_nonnegative(self) -> bool:
         return bool((self.weights >= 0).all())
@@ -365,16 +521,16 @@ def measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMea
     """A nonnegative measure.  Float weights must be finite; those in
     [-1e-12, 0) are clamped to 0."""
     m = signed_measure(space, weights, scalar)
-    arr = _check_nonnegative(m.weights, "measure")
+    arr = _check_weights(m.weights, "measure")
     return m if arr is m.weights else FiniteMeasure(space, arr)
 
 
 def prob_measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
     """A probability measure.  Rational weights must sum to 1 exactly;
     float weights must sum to 1 within 1e-9."""
-    m = measure(space, weights, scalar)
-    _check_sums_to_one(np.asarray(m.weights.sum()), "measure weights")
-    return m
+    m = signed_measure(space, weights, scalar)
+    arr = _check_weights(m.weights, "measure", "measure weights")
+    return m if arr is m.weights else FiniteMeasure(space, arr)
 
 
 def dirac_measure(space: FiniteSpace, label, scalar: str = RATIONAL) -> FiniteMeasure:

@@ -20,18 +20,18 @@ import numpy as np
 
 from .errors import NumericalError, SchemaError, _clip
 from .measures import (
-    FLOAT,
     FiniteMeasure,
     FiniteSpace,
     _as_float_array,
     _freeze,
+    _normalized_rows,
+    _product,
     _stochastic_rows,
     measures_equal,
     product_space,
     require_same_scalar,
 )
 from .kernels import FiniteKernel, marginal, pushforward
-from .bayes import _conditionals
 from .gaussian import GaussianMeasure, _checked_solve
 
 
@@ -128,8 +128,9 @@ def _require_inputs(model: SupervisedModel, xs: tuple) -> None:
 
 
 # The most entries (hypotheses x label tuples) a sampling kernel may have:
-# a rational predictive of 2**20 entries takes about 12 s and 0.4 GB on a
-# 2-CPU VM, and every further test point multiplies that by the label count.
+# a rational predictive of 2**20 entries (4 hypotheses, 18 binary test
+# points) takes about 4 s and 0.3 GB on a 2-CPU VM, and every further test
+# point multiplies that by the label count.
 MAX_JOINT_ENTRIES = 2 ** 20
 
 
@@ -153,20 +154,16 @@ def sampling_kernel(model: SupervisedModel, xs: Sequence) -> FiniteKernel:
             f"the joint over {len(xs)} input points has {n_h} x {n_y}^{len(xs)} "
             f"entries, over the limit of {MAX_JOINT_ENTRIES}")
     sup = model.rows[:, [model.inputs.index(x) for x in xs], :]
-    rows = sup[:, 0, :]
-    for j in range(1, len(xs)):        # product_measure's order
-        rows = (rows[:, :, None] * sup[:, j, None, :]).reshape(len(sup), -1)
-    target = product_space([model.labels] * len(xs))
-    return FiniteKernel(model.hypotheses, target, rows)
+    m = len(xs)
+    # Factor j varies along axis j + 1: product_measure's order.
+    rows = _product(*(sup[:, j].reshape(n_h, *[1] * j, n_y, *[1] * (m - 1 - j))
+                      for j in range(m)))
+    target = product_space([model.labels] * m)
+    return FiniteKernel(model.hypotheses, target, rows.reshape(n_h, -1))
 
 
 def _observation_label(ys: tuple):
     return ys[0] if len(ys) == 1 else tuple(ys)
-
-
-# A float running likelihood whose largest entry falls below this is
-# rescaled by a power of two, so a long training set cannot underflow.
-_RESCALE_BELOW = 2.0 ** -500
 
 
 def _likelihood(model: SupervisedModel, s: TrainingSet) -> np.ndarray:
@@ -178,16 +175,7 @@ def _likelihood(model: SupervisedModel, s: TrainingSet) -> np.ndarray:
     """
     xi = [model.inputs.index(x) for x in s.inputs]
     yi = [model.labels.index(y) for y in s.outputs]
-    factors = model.rows[:, xi, yi]
-    rescale = model.scalar == FLOAT
-    lik = factors[:, 0]
-    for j in range(1, len(s)):
-        lik = lik * factors[:, j]
-        if rescale:
-            top = lik.max()
-            if 0.0 < top < _RESCALE_BELOW:
-                lik = np.ldexp(lik, -np.frexp(top)[1])
-    return lik
+    return _product(*model.rows[:, xi, yi].T, rescale=True)
 
 
 def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
@@ -207,8 +195,8 @@ def posterior(model: SupervisedModel, s: TrainingSet) -> InferenceResult:
             f"observed labels {_clip(_observation_label(ys))} outside the label "
             f"space: pair {bad} has label {_clip(ys[bad])}")
     _require_inputs(model, s.inputs)
-    rows, null = _conditionals((_likelihood(model, s) * model.prior.weights)[None],
-                               model.prior.weights)
+    prior = model.prior.weights
+    rows, null = _normalized_rows(_likelihood(model, s)[None], prior, scale=prior)
     return InferenceResult(FiniteMeasure(model.hypotheses, rows[0]), bool(null[0]))
 
 

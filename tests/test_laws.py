@@ -1,13 +1,16 @@
 """The law-suite runner: one trial per family, its failure records, and
 the refusals of ``run_checks``."""
 
+import contextlib
 import inspect
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from probmorph import gaussian, laws, measures
+from probmorph import cli, gaussian, laws, measures
 from probmorph.errors import NotAbsolutelyContinuousError, SchemaError
 from probmorph.measures import FLOAT, RATIONAL
 
@@ -67,6 +70,28 @@ def test_a_failed_bridge_records_both_moments(monkeypatch):
                            "var_finite", "var_exact"]
         assert r["mean_exact"] - r["mean_finite"] == pytest.approx(0.5, abs=1e-3)
         assert r["var_exact"] == pytest.approx(r["var_finite"], rel=1e-3)
+
+
+def test_a_nan_moment_fails_the_bridge_and_is_recorded_as_none(monkeypatch):
+    monkeypatch.setattr(measures, "expectation", lambda m, f=None: math.nan)
+    bad = laws.check_gaussian_finite_bridge(np.random.default_rng(2), 3, FLOAT, 1e-9)
+    assert [(r["trial"], r["law"]) for r in bad] == [
+        (i, "gaussian-finite-bridge") for i in range(3)]
+    for r in bad:
+        assert r["mean_finite"] is None and r["var_finite"] is None
+        assert math.isfinite(r["mean_exact"]) and math.isfinite(r["var_exact"])
+
+
+def test_check_laws_reports_a_nan_moment_as_null_and_exits_4(monkeypatch):
+    monkeypatch.setattr(measures, "expectation", lambda m, f=None: math.nan)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check-laws", "--seed", "3", "--trials", "2"])
+    assert code == 4
+    report = json.loads(out.getvalue())
+    bridge = next(c for c in report["checks"] if c["name"] == "gaussian-finite-bridge")
+    assert bridge["num_failures"] == 2 == report["total_failures"]
+    assert bridge["failures"][0]["mean_finite"] is None
 
 
 def test_each_run_draws_from_its_own_generator_under_its_cap(monkeypatch):

@@ -2,11 +2,12 @@
 convolution and densities."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import probmorph as pm
@@ -33,7 +34,8 @@ from probmorph import (
     tv_norm,
     uniform_measure,
 )
-from probmorph.measures import zeros_like_backend
+from probmorph.errors import _clip
+from probmorph.measures import _to_fraction, zeros_like_backend
 
 
 class TestFiniteSpace:
@@ -257,6 +259,47 @@ class TestWeightPolicy:
                 finite_kernel(self.S, self.S, [[1, 0], [1]], scalar)
         with pytest.raises(SchemaError, match="ragged"):
             finite_kernel(self.S, self.S, [[1.0, 0.0], [1.0]])
+
+
+# The int/str digit limit, which the parser's reasons name; never changed here.
+LIMIT = sys.get_int_max_str_digits()
+DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=6),
+    st.builds(str.__mul__, st.sampled_from("0179"), st.sampled_from([LIMIT, LIMIT + 1])))
+LITERALS = st.one_of(
+    st.text("0123456789\u0663\u00b2-+ _.e/", max_size=12),
+    # sign, numerator and denominator, leading zeros and zero denominators
+    # included, and parts at and over the digit limit
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-", "+"]), DIGITS, DIGITS),
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), DIGITS),
+)
+
+
+class TestParseFastPath:
+    """``_to_fraction`` reads plain ASCII 'p/q' and integers with int();
+    for every string it must agree with Fraction(str): the same value, or
+    the SchemaError that carries Fraction's own reason."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @example("\u00b2/3")             # isdigit() is True, int() refuses it
+    @example("3/\u00b2")
+    @example("\u0663/4")             # a non-ASCII digit that int() reads
+    @example("1/0")
+    @example("-0/00")
+    @example("007/010")
+    @example("1" * LIMIT + "/3")
+    @example("1/" + "1" * (LIMIT + 1))
+    @given(LITERALS)
+    def test_agrees_with_fraction_of_the_string(self, s):
+        try:
+            want = F(s)
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(SchemaError) as err:
+                _to_fraction(s)
+            assert str(err.value) == f"bad rational {_clip(s)}: {_clip(e, 160)}"
+        else:
+            got = _to_fraction(s)
+            assert type(got) is F and got == want
 
 
 class TestTvNorm:
