@@ -76,7 +76,7 @@ from .gaussian import (
     AffineGaussianMap,
     GaussianMeasure,
     GridSpec,
-    discretize_model_1d,
+    discretize_model,
     gauss_compose,
     gauss_condition,
     gauss_convolve,

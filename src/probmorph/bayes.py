@@ -18,6 +18,7 @@ from .measures import (
     DEFAULT_TOLERANCE,
     FiniteMeasure,
     FiniteSpace,
+    _checked_measure,
     _normalized_rows,
     _one_of,
     arrays_equal,
@@ -40,8 +41,8 @@ class BayesModel:
         if self.prior.space != self.sampling.source:
             raise SchemaError("prior space must equal the sampling source")
         require_same_scalar(self.prior, self.sampling)
-        if not self.prior.is_probability():
-            raise SchemaError("prior must be a probability measure")
+        object.__setattr__(self, "prior",
+                           _checked_measure(self.prior, "prior", "prior weights"))
 
     @property
     def parameters(self) -> FiniteSpace:

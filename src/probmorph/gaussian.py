@@ -252,7 +252,9 @@ def gauss_condition(joint: GaussianMeasure, head_dim: int, y) -> GaussianMeasure
 
 # The most cells a grid axis may have: 2.5 times the 1,600 that GridSpec.around
 # makes by default.  A 2-D grid at the limit has 16.8M cells (134 MB of float
-# weights), and so has discretize_model_1d's kernel between two such axes.
+# weights).  discretize_model refuses a kernel of more entries than that, the
+# most a 1-D parameter can make: a 2-D one at the default steps would need
+# 1,600^2 x 1,600.
 MAX_GRID_CELLS = 4096
 
 
@@ -335,15 +337,21 @@ def _coverage_check(g: GaussianMeasure, grid: GridSpec) -> None:
                 f"than half a standard deviation ({sd / 2:.6g})")
 
 
-def _density_rows(centers: np.ndarray, means, var: float) -> np.ndarray:
-    """N(mean, var) densities at the cell centers normalized to mass one:
-    one row per mean, 1-D for a scalar mean.  Frozen, so the value
-    classes take it without a copy."""
+def _whitened(centers: np.ndarray, means, var: float) -> np.ndarray:
+    """(centers - mean) / sqrt(var): one row per mean, 1-D for a scalar mean."""
     z = centers - np.asarray(means)[..., None]
     z /= math.sqrt(var)
-    rows = z * -0.5
-    rows *= z
-    del z
+    return z
+
+
+def _density_rows(*z: np.ndarray) -> np.ndarray:
+    """exp(-|z|^2 / 2) at the whitened offsets ``z``, one array per axis,
+    normalized to mass one along the last axis.  Frozen, so the value
+    classes take it without a copy."""
+    rows = z[0] * -0.5
+    rows *= z[0]
+    for zi in z[1:]:
+        rows += zi * -0.5 * zi
     np.exp(rows, out=rows)
     totals = rows.sum(axis=-1)
     if not (totals > 0).all():
@@ -369,49 +377,51 @@ def gauss_discretize(g: GaussianMeasure, grid: GridSpec,
     det = float(np.linalg.det(g.cov))
     if det <= 0:
         raise GridError("cannot discretize: covariance is singular")
-    if grid.ndim == 1:
-        centers = grid.centers(0)
-        return prob_measure(FiniteSpace(tuple(float(c) for c in centers)),
-                            _density_rows(centers, g.mean[0], g.cov[0, 0]))
-    c0, c1 = grid.centers(0), grid.centers(1)
-    mesh = np.stack(np.meshgrid(c0, c1, indexing="ij"), axis=-1)
-    diff = mesh.reshape(-1, 2) - g.mean
-    sol = np.linalg.solve(g.cov, diff.T)
-    quad = np.einsum("ij,ji->i", diff, sol)
-    dens = np.exp(-0.5 * (quad - quad.min()))
-    ax0 = FiniteSpace(tuple(float(c) for c in c0))
-    ax1 = FiniteSpace(tuple(float(c) for c in c1))
-    space = product_space([ax0, ax1])
-    # dens is exp(0) = 1 where quad is smallest, so the total is at least 1.
-    return prob_measure(space, _freeze(dens / dens.sum()))
+    c0 = grid.centers(0)
+    z = (_whitened(c0, g.mean[0], g.cov[0, 0]),)
+    space = FiniteSpace(tuple(float(c) for c in c0))
+    if grid.ndim == 2:
+        # axis 1 given axis 0 is N(m1 + beta (x0 - m0), det / c00); the
+        # grid is flattened, first axis slowest, so one row is all of it
+        c1, beta = grid.centers(1), g.cov[0, 1] / g.cov[0, 0]
+        z1 = _whitened(c1, g.mean[1] + beta * (c0 - g.mean[0]), det / g.cov[0, 0])
+        z = (np.repeat(z[0], c1.size), z1.ravel())
+        space = product_space([space, FiniteSpace(tuple(float(c) for c in c1))])
+    return prob_measure(space, _density_rows(*z))
 
 
-def discretize_model_1d(prior: GaussianMeasure, t: AffineGaussianMap,
-                        half_width_sigmas: float = 8.0,
-                        step_sigmas: float = 0.01) -> BayesModel:
-    """Turn a one-dimensional Gaussian model into a finite one.
+def discretize_model(prior: GaussianMeasure, t: AffineGaussianMap,
+                     half_width_sigmas: float = 8.0,
+                     step_sigmas: float = 0.01) -> BayesModel:
+    """Turn a Gaussian model of a 1- or 2-D parameter and a 1-D
+    observation into a finite one.
 
     The parameter grid covers the prior, the observation grid covers
     the predictive; each sampling row is the discretized output
     distribution at the parameter cell center (tail rows clip off-grid
-    mass, which carries negligible prior weight).
+    mass, which carries negligible prior weight).  A kernel of more
+    than MAX_GRID_CELLS**2 entries is refused before it is built.
     """
-    if prior.dim != 1 or t.input_dim != 1 or t.output_dim != 1:
-        raise SchemaError("this bridge handles 1-D models only")
-    pgrid = GridSpec.around(prior.mean[0], math.sqrt(prior.cov[0, 0]),
-                            half_width_sigmas, step_sigmas)
-    prior_m = gauss_discretize(prior, pgrid)
+    if t.output_dim != 1:
+        raise SchemaError("this bridge needs a 1-D observation")
     pred = gauss_pushforward(t, prior)
-    ogrid = GridSpec.around(pred.mean[0], math.sqrt(pred.cov[0, 0]),
-                            half_width_sigmas, step_sigmas)
+    pgrid, ogrid = (GridSpec.around(g.mean, np.sqrt(np.diag(g.cov)),
+                                    half_width_sigmas, step_sigmas) for g in (prior, pred))
+    axes, obs = [pgrid.centers(i) for i in range(pgrid.ndim)], ogrid.centers(0)
+    cells = math.prod(a.size for a in axes)
+    if cells * obs.size > MAX_GRID_CELLS ** 2:
+        raise SchemaError(f"a kernel of {cells} x {obs.size} cells, over the limit "
+                          f"of {MAX_GRID_CELLS ** 2} entries")
+    prior_m = gauss_discretize(prior, pgrid)
     _coverage_check(pred, ogrid)
-    obs_space = FiniteSpace(tuple(float(c) for c in ogrid.centers(0)))
-    # Row c is gauss_discretize(t.at([c]), ogrid, strict=False), computed
-    # for all parameter cells at once by the same helper.
-    noise = float(t.noise[0, 0])
-    if noise <= 0:
+    obs_space = FiniteSpace(tuple(float(c) for c in obs))
+    # Row p is gauss_discretize(t.at(cell p), ogrid, strict=False), for all p at once.
+    if t.noise[0, 0] <= 0:
         raise GridError("cannot discretize: covariance is singular")
-    means = t.A[0, 0] * pgrid.centers(0) + t.b[0]
-    rows = _density_rows(ogrid.centers(0), means, noise)
-    return BayesModel(prior=prior_m,
-                      sampling=finite_kernel(prior_m.space, obs_space, rows))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    means = sum(a * x.ravel() for a, x in zip(t.A[0], mesh)) + t.b[0]
+    rows = _density_rows(_whitened(obs, means, t.noise[0, 0]))
+    return BayesModel(prior_m, finite_kernel(prior_m.space, obs_space, rows))
+
+
+discretize_model_1d = discretize_model      # the old name, which bench/workloads.py calls

@@ -405,7 +405,7 @@ def check_gaussian_finite_bridge(rng, scalar: str, tol: float):
         [[float(rng.uniform(0.5, 1.5))]],
         [float(rng.uniform(-0.5, 0.5))],
         [[float(rng.uniform(0.25, 4.0))]])
-    finite = gaussian.discretize_model_1d(prior, t)
+    finite = gaussian.discretize_model(prior, t)
     pred = gaussian.gauss_pushforward(t, prior)
     y_wanted = float(pred.mean[0] + 1.1 * math.sqrt(pred.cov[0, 0]))
     obs_labels = np.asarray(finite.observations.labels)

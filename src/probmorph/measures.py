@@ -422,6 +422,17 @@ def _normalized_rows(w: np.ndarray, fallback, scale=None) -> tuple:
     return rows, null
 
 
+def _check_finite(arr: np.ndarray, what: str, entries: str = "weight") -> np.ndarray:
+    """Refuse a float array with a NaN or infinite entry, or whose total
+    overflows; return it."""
+    if arr.dtype == np.float64:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(arr.sum())       # NaN and inf propagate into the sum
+        if not math.isfinite(total):
+            raise SchemaError(f"non-finite total {entries} {total} in a {what}")
+    return arr
+
+
 def _check_weights(arr: np.ndarray, what: str, rows: str | None = None) -> np.ndarray:
     """Refuse negative entries and non-finite floats; with ``rows``, also
     rows (along the last axis) that do not sum to 1, exactly on the
@@ -444,9 +455,7 @@ def _check_weights(arr: np.ndarray, what: str, rows: str | None = None) -> np.nd
                 raise SchemaError(f"rational {rows} must sum to 1, got "
                                   f"{Fraction(sums[i], lcms[i])}{_at(bad.reshape(arr.shape[:-1]))}")
         return arr
-    total = float(arr.sum())               # NaN and inf propagate into the sum
-    if not math.isfinite(total):
-        raise SchemaError(f"non-finite total weight {total} in a {what}")
+    _check_finite(arr, what)
     low = float(arr.min(initial=0.0))
     if low < -NEG_WEIGHT_TOL:
         raise SchemaError(f"negative weight {low:.6g} in a {what}{_at((arr == low).any(-1))}")
@@ -514,23 +523,29 @@ class FiniteMeasure:
 
 
 def signed_measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
-    return FiniteMeasure(space, as_scalar_array(weights, scalar))
+    """A measure of any sign.  Float weights must be finite, and so must
+    their total."""
+    return FiniteMeasure(space, _check_finite(as_scalar_array(weights, scalar), "measure"))
+
+
+def _checked_measure(m: FiniteMeasure, what: str, rows: str | None = None) -> FiniteMeasure:
+    """``m`` with its weights through ``_check_weights``: the same measure,
+    or a new one if float weights in [-1e-12, 0) were clamped to 0."""
+    arr = _check_weights(m.weights, what, rows)
+    return m if arr is m.weights else FiniteMeasure(m.space, arr)
 
 
 def measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
     """A nonnegative measure.  Float weights must be finite; those in
     [-1e-12, 0) are clamped to 0."""
-    m = signed_measure(space, weights, scalar)
-    arr = _check_weights(m.weights, "measure")
-    return m if arr is m.weights else FiniteMeasure(space, arr)
+    return _checked_measure(FiniteMeasure(space, as_scalar_array(weights, scalar)), "measure")
 
 
 def prob_measure(space: FiniteSpace, weights, scalar: str | None = None) -> FiniteMeasure:
     """A probability measure.  Rational weights must sum to 1 exactly;
     float weights must sum to 1 within 1e-9."""
-    m = signed_measure(space, weights, scalar)
-    arr = _check_weights(m.weights, "measure", "measure weights")
-    return m if arr is m.weights else FiniteMeasure(space, arr)
+    return _checked_measure(FiniteMeasure(space, as_scalar_array(weights, scalar)),
+                            "measure", "measure weights")
 
 
 def dirac_measure(space: FiniteSpace, label, scalar: str = RATIONAL) -> FiniteMeasure:
@@ -584,7 +599,10 @@ class BoundedFunction:
 
 
 def bounded_function(space: FiniteSpace, values, scalar: str | None = None) -> BoundedFunction:
-    return BoundedFunction(space, as_scalar_array(values, scalar))
+    """A function from its values.  Float values must be finite, and so
+    must their total."""
+    return BoundedFunction(space, _check_finite(as_scalar_array(values, scalar),
+                                                "function", "value"))
 
 
 def constant_function(space: FiniteSpace, value, scalar: str | None = None) -> BoundedFunction:

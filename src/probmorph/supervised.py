@@ -23,6 +23,7 @@ from .measures import (
     FiniteMeasure,
     FiniteSpace,
     _as_float_array,
+    _checked_measure,
     _freeze,
     _normalized_rows,
     _product,
@@ -49,8 +50,8 @@ class SupervisedModel:
         shape = (self.prior.space.size, self.inputs.size, self.labels.size)
         rows = _stochastic_rows(self.rows, shape, "supervisor")
         require_same_scalar(self.prior, rows)
-        if not self.prior.is_probability():
-            raise SchemaError("prior must be a probability measure")
+        object.__setattr__(self, "prior",
+                           _checked_measure(self.prior, "prior", "prior weights"))
         object.__setattr__(self, "rows", _freeze(rows))
 
     @property

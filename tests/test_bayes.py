@@ -42,6 +42,22 @@ class TestModelValidation:
         with pytest.raises(SchemaError):
             BayesModel(prior=bad, sampling=SAMPLING)
 
+    def test_the_prior_is_checked_as_a_sampling_row_is(self):
+        # a float entry in [-1e-12, 0) is clamped in the prior as in a row
+        samp = SAMPLING.as_float()
+        model = BayesModel(prior=pm.signed_measure(TH, [1.0000000000001, -1e-13]),
+                           sampling=samp)
+        assert model.prior.weights.tolist() == [1.0000000000001, 0.0]
+        for weights, message in (
+                ([1.0, -1e-9], r"^negative weight -1e-09 in a prior$"),
+                ([0.5, 0.4], r"^float prior weights must sum to 1, off by 0\.1 "
+                             r"\(tolerance 1e-09\)$"),
+                ([F(1, 2), F(1, 3)], r"^rational prior weights must sum to 1, got 5/6$"),
+                ([F(3, 2), F(-1, 2)], r"^negative weight -1/2 in a prior$")):
+            bad = pm.signed_measure(TH, weights)
+            with pytest.raises(SchemaError, match=message):
+                BayesModel(prior=bad, sampling=samp if bad.scalar == "float" else SAMPLING)
+
     def test_spaces_must_line_up(self):
         with pytest.raises(SchemaError):
             BayesModel(prior=prob_measure(X, [F(1, 2), F(1, 2)]),

@@ -233,6 +233,18 @@ class TestShortRefusals:
         assert err["type"] == "SchemaError"
         assert err["message"].startswith("model.prior: ")
 
+    def test_a_float_prior_is_clamped_as_a_sampling_row_is(self, tmp_path, capsys):
+        tiny = [1.0000000000001, -1e-13]
+        for prior, row in ((tiny, [0.5, 0.5]), ([0.5, 0.5], tiny)):
+            model = {"prior": {"labels": ["t1", "t2"], "weights": prior, "scalar": "float"},
+                     "sampling": dict(MODEL["sampling"], rows=[row, [0.25, 0.75]])}
+            assert main(["invert", "--input", write_json(tmp_path / "m.json", model)]) == 0
+            capsys.readouterr()
+        model["prior"]["weights"] = [1.0, -1e-9]
+        assert main(["invert", "--input", write_json(tmp_path / "m.json", model)]) == 2
+        err = _one_short_error(capsys.readouterr())
+        assert err["message"] == "model: negative weight -1e-09 in a prior"
+
     def test_bad_label_among_3000_pairs_names_the_pair(self, tmp_path, capsys):
         pairs = [["ab"[i % 2], i % 2] for i in range(3000)]
         pairs[1234][1] = 5

@@ -2,6 +2,7 @@
 cross-checks against the finite machinery on discretization grids."""
 
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -276,6 +277,37 @@ class TestDiscretize:
         mean, cov = grid_moments(mx)
         assert abs(mean[0]) < 1e-9 and abs(cov[0, 0] - 1.0) < 1e-3
 
+    @staticmethod
+    def quad_form_weights(g, grid):
+        """The 2-D grid weights from the quadratic form of the inverse
+        covariance, shifted by its minimum: an oracle that solves with the
+        covariance where gauss_discretize whitens axis by axis."""
+        c0, c1 = grid.centers(0), grid.centers(1)
+        mesh = np.stack(np.meshgrid(c0, c1, indexing="ij"), axis=-1)
+        diff = mesh.reshape(-1, 2) - g.mean
+        sol = np.linalg.solve(g.cov, diff.T)
+        quad = np.einsum("ij,ji->i", diff, sol)
+        dens = np.exp(-0.5 * (quad - quad.min()))
+        return dens / dens.sum()
+
+    @pytest.mark.parametrize("half_width", [4.0, 6.0, 8.0])
+    def test_two_axes_match_the_quadratic_form(self, half_width):
+        rng = np.random.default_rng(int(half_width))
+        for _ in range(10):
+            sd = rng.uniform(0.1, 3.0, size=2)
+            rho = rng.uniform(-0.95, 0.95)
+            cov = np.outer(sd, sd) * np.array([[1.0, rho], [rho, 1.0]])
+            g = GaussianMeasure(rng.normal(size=2) * 3.0, cov)
+            grid = GridSpec.around(g.mean, sd, half_width, 0.05)
+            m = gauss_discretize(g, grid)
+            assert np.abs(m.weights - self.quad_form_weights(g, grid)).sum() <= 1e-12
+
+    def test_two_axis_grid_that_catches_no_mass_is_refused_without_strict(self):
+        g = GaussianMeasure([0.0, 0.0], np.eye(2))
+        with pytest.raises(GridError, match="no probability mass"):
+            gauss_discretize(g, GridSpec((50.0, 50.0), (51.0, 51.0), (0.01, 0.01)),
+                             strict=False)
+
 
 class TestFiniteOracles:
     """The closed forms against brute-force finite computation."""
@@ -302,7 +334,7 @@ class TestFiniteOracles:
     def test_inversion_against_discretized_model(self):
         prior = GaussianMeasure([1.0], [[1.0]])
         t = AffineGaussianMap([[1.0]], [0.0], [[1.0]])
-        finite = pm.discretize_model_1d(prior, t)
+        finite = pm.discretize_model(prior, t)
         labels = np.asarray(finite.sampling.target.labels)
         y = float(labels[int(np.argmin(np.abs(labels - 2.0)))])
         row = pm.bayes_invert(finite).kernel.row(y)
@@ -314,7 +346,7 @@ class TestFiniteOracles:
     def test_predictive_of_discretized_model_matches_closed_form(self):
         prior = GaussianMeasure([0.5], [[0.8]])
         t = AffineGaussianMap([[1.2]], [-0.3], [[0.5]])
-        finite = pm.discretize_model_1d(prior, t)
+        finite = pm.discretize_model(prior, t)
         pred_f = pm.predictive_measure(finite)
         mean, cov = grid_moments(pred_f)
         exact = gauss_pushforward(t, prior)
@@ -323,21 +355,61 @@ class TestFiniteOracles:
 
 
 class TestGridRowsAndConditionEstimate:
-    """discretize_model_1d and the eigvalsh condition estimate against
+    """discretize_model and the eigvalsh condition estimate against
     the per-row route and np.linalg.cond."""
 
-    @pytest.mark.parametrize("m, s, a, b, n", [
-        (1.0, 1.0, 1.0, 0.0, 1.0), (0.3, 0.7, 1.3, -0.2, 0.4),
-        (-2.0, 1.9, -0.6, 0.4, 3.0), (0.0, 0.5, 0.0, 1.0, 0.25)])
+    # (prior mean, prior covariance, A, b, noise variance)
+    MODELS = [
+        ([1.0], [[1.0]], [[1.0]], [0.0], 1.0), ([0.3], [[0.7]], [[1.3]], [-0.2], 0.4),
+        ([-2.0], [[1.9]], [[-0.6]], [0.4], 3.0), ([0.0], [[0.5]], [[0.0]], [1.0], 0.25),
+        ([-0.0], [[0.05]], [[2.5]], [-0.0], 0.05), ([40.0], [[9.0]], [[-1e-3]], [7.0], 0.1),
+        ([0.0, 0.0], [[1.0, 0.6], [0.6, 2.0]], [[0.0, 1.0]], [0.0], 0.3),
+        ([0.5, -1.0], [[0.8, -0.3], [-0.3, 0.4]], [[1.2, -0.7]], [0.25], 1.5)]
+
+    # (half width, step) in sd by parameter dimension: a 2-D parameter at
+    # +-8 sd in steps of 0.05 sd would have 320^2 x 320 kernel entries
+    GRID = {1: (8.0, 0.05), 2: (4.0, 0.25)}
+
+    @classmethod
+    def bridge(cls, m, s, a, b, n, step=None):
+        prior, t = GaussianMeasure(m, s), AffineGaussianMap(a, b, [[n]])
+        half_width, default = cls.GRID[prior.dim]
+        return prior, t, pm.discretize_model(prior, t, half_width, step or default)
+
+    @pytest.mark.parametrize("m, s, a, b, n", MODELS)
     def test_rows_match_per_row_discretization(self, m, s, a, b, n):
-        prior = GaussianMeasure([m], [[s]])
-        t = AffineGaussianMap([[a]], [b], [[n]])
-        finite = pm.discretize_model_1d(prior, t, 8.0, 0.05)
+        prior, t, finite = self.bridge(m, s, a, b, n)
         pred = gauss_pushforward(t, prior)
-        ogrid = GridSpec.around(pred.mean[0], math.sqrt(pred.cov[0, 0]), 8.0, 0.05)
-        rows = np.stack([gauss_discretize(t.at([c]), ogrid, strict=False).weights
+        ogrid = GridSpec.around(pred.mean[0], math.sqrt(pred.cov[0, 0]),
+                                *self.GRID[prior.dim])
+        rows = np.stack([gauss_discretize(t.at(np.atleast_1d(c)), ogrid, strict=False).weights
                          for c in finite.parameters.labels])
-        assert np.array_equal(finite.sampling.rows, rows)
+        if prior.dim == 1:
+            assert np.array_equal(finite.sampling.rows, rows)
+        else:       # t.at sums A x in a matmul, which may round the last bit apart
+            assert np.allclose(finite.sampling.rows, rows, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def one_axis_rows(centers, means, var):
+        """The 1-D density rows written out op for op: the oracle that
+        pins the bits of every 1-D grid."""
+        z = centers - np.asarray(means)[..., None]
+        z /= math.sqrt(var)
+        rows = z * -0.5
+        rows *= z
+        np.exp(rows, out=rows)
+        rows /= rows.sum(axis=-1)[..., None]
+        return rows
+
+    @pytest.mark.parametrize("step", [0.01, 0.04, 0.05])
+    @pytest.mark.parametrize("m, s, a, b, n", MODELS[:6])
+    def test_one_axis_bits_are_the_one_axis_formula(self, m, s, a, b, n, step):
+        _, _, finite = self.bridge(m, s, a, b, n, step)
+        cells = np.asarray(finite.parameters.labels)
+        obs = np.asarray(finite.observations.labels)
+        assert np.array_equal(finite.prior.weights, self.one_axis_rows(cells, m[0], s[0][0]))
+        assert np.array_equal(finite.sampling.rows,
+                              self.one_axis_rows(obs, a[0][0] * cells + b[0], n))
 
     def test_grid_arrays_reach_the_value_classes_without_a_copy(self, monkeypatch):
         made = []
@@ -348,8 +420,8 @@ class TestGridRowsAndConditionEstimate:
             return made[-1]
 
         monkeypatch.setattr(pm.gaussian, "_density_rows", recording)
-        finite = pm.discretize_model_1d(GaussianMeasure([0.3], [[0.7]]),
-                                        AffineGaussianMap([[1.3]], [-0.2], [[0.4]]))
+        finite = pm.discretize_model(GaussianMeasure([0.3], [[0.7]]),
+                                     AffineGaussianMap([[1.3]], [-0.2], [[0.4]]))
         assert finite.prior.weights is made[0]
         assert finite.sampling.rows is made[-1]
         assert made[-1].shape == (finite.parameters.size, finite.observations.size)
@@ -358,7 +430,27 @@ class TestGridRowsAndConditionEstimate:
         prior = GaussianMeasure([0.0], [[1.0]])
         t = AffineGaussianMap([[1.0]], [0.0], [[0.0]])
         with pytest.raises(GridError, match="singular"):
-            pm.discretize_model_1d(prior, t)
+            pm.discretize_model(prior, t)
+
+    def test_a_two_dimensional_observation_is_refused(self):
+        t = AffineGaussianMap([[1.0], [0.5]], [0.0, 0.0], np.eye(2))
+        with pytest.raises(SchemaError, match="1-D observation"):
+            pm.discretize_model(GaussianMeasure([0.0], [[1.0]]), t)
+
+    def test_a_two_axis_prior_at_default_steps_is_refused_before_allocation(self):
+        # 1,600^2 parameter cells times 1,600 observations; the prior
+        # grid alone would take 20 MB
+        prior = GaussianMeasure([0.0, 0.0], np.eye(2))
+        t = AffineGaussianMap([[1.0, 1.0]], [0.0], [[1.0]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="2560000 x 1600 cells, over the limit "
+                                                  "of 16777216 entries"):
+                pm.discretize_model(prior, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_condition_estimate_matches_svd_on_spd_matrices(self):
         rng = np.random.default_rng(11)

@@ -116,6 +116,17 @@ class TestMeasureConstruction:
                 measure(s, [bad, 1.0])
             with pytest.raises(SchemaError, match="non-finite total weight"):
                 prob_measure(s, [1.0, bad])
+            with pytest.raises(SchemaError, match="non-finite total weight"):
+                signed_measure(s, [bad, 1.0])
+            with pytest.raises(SchemaError, match="non-finite total value"):
+                bounded_function(s, [1.0, bad])
+            with pytest.raises(SchemaError, match="non-finite total value"):
+                pm.constant_function(s, bad)
+        # without a warning: the sum of inf and -inf is NaN
+        with pytest.raises(SchemaError, match="^non-finite total weight nan in a measure$"):
+            signed_measure(s, [float("inf"), float("-inf")])
+        with pytest.raises(SchemaError, match="^non-finite total value inf in a function$"):
+            bounded_function(s, [1e308, 1e308])
 
     def test_rational_negatives_are_rejected_outright(self):
         s = FiniteSpace(("a", "b"))
