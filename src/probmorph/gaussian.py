@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridError, NotPSDError, SchemaError, SingularMatrixError, _clip
-from .measures import (FiniteMeasure, FiniteSpace, _element_types, _freeze,
-                       prob_measure, product_space)
-from .kernels import FiniteKernel, finite_kernel
+from .errors import GridError, NotPSDError, NumericalError, SchemaError, SingularMatrixError, _clip
+from .measures import FiniteMeasure, FiniteSpace, _element_types, _freeze, product_space
+from .kernels import FiniteKernel
 from .bayes import BayesModel
 
 # Covariances may be asymmetric by at most this much (then symmetrized),
@@ -45,6 +44,13 @@ def _finite(values, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise SchemaError(f"{what} has non-finite entries")
     return arr
+
+
+def _check_range(what: str, *arrays: np.ndarray) -> None:
+    """Refuse a result that left the float range: the closed forms compute
+    with overflow warnings off, and an overflow shows as inf or NaN."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{what} overflows the float range")
 
 
 def _clean_cov(cov, what: str) -> np.ndarray:
@@ -140,6 +146,7 @@ def gaussians_equal(g1: GaussianMeasure, g2: GaussianMeasure,
             and float(np.max(np.abs(g1.cov - g2.cov), initial=0.0)) <= tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_compose(t1: AffineGaussianMap, t2: AffineGaussianMap) -> AffineGaussianMap:
     """First t1, then t2: x -> N(A2 A1 x + A2 b1 + b2,
     A2 S1 A2' + S2)."""
@@ -148,15 +155,20 @@ def gauss_compose(t1: AffineGaussianMap, t2: AffineGaussianMap) -> AffineGaussia
     A = t2.A @ t1.A
     b = t2.A @ t1.b + t2.b
     noise = t2.A @ t1.noise @ t2.A.T + t2.noise
+    _check_range("the composite map", A, b, noise)
     return AffineGaussianMap(A, b, noise)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_pushforward(t: AffineGaussianMap, g: GaussianMeasure) -> GaussianMeasure:
     if t.input_dim != g.dim:
         raise SchemaError("measure dimension does not match map input")
-    return GaussianMeasure(t.A @ g.mean + t.b, t.A @ g.cov @ t.A.T + t.noise)
+    mean, cov = t.A @ g.mean + t.b, t.A @ g.cov @ t.A.T + t.noise
+    _check_range("the pushforward", mean, cov)
+    return GaussianMeasure(mean, cov)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_graph(t: AffineGaussianMap, g: GaussianMeasure) -> GaussianMeasure:
     """Joint of (input, output) when the input is distributed as g and
     the output is produced by t.  Input block comes first."""
@@ -168,14 +180,18 @@ def gauss_graph(t: AffineGaussianMap, g: GaussianMeasure) -> GaussianMeasure:
     top = np.hstack([S, cross])
     bottom = np.hstack([cross.T, out_cov])
     mean = np.concatenate([g.mean, A @ g.mean + t.b])
+    _check_range("the joint", mean, cross, out_cov)
     return GaussianMeasure(mean, np.vstack([top, bottom]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_convolve(g1: GaussianMeasure, g2: GaussianMeasure) -> GaussianMeasure:
     """Distribution of the sum of independent draws."""
     if g1.dim != g2.dim:
         raise SchemaError("convolution needs equal dimensions")
-    return GaussianMeasure(g1.mean + g2.mean, g1.cov + g2.cov)
+    mean, cov = g1.mean + g2.mean, g1.cov + g2.cov
+    _check_range("the convolution", mean, cov)
+    return GaussianMeasure(mean, cov)
 
 
 def gauss_marginal(g: GaussianMeasure, indices: Sequence[int]) -> GaussianMeasure:
@@ -207,6 +223,7 @@ def _checked_solve(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K, rhs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure) -> AffineGaussianMap:
     """Bayesian inversion: the map y -> posterior N over the input.
 
@@ -222,11 +239,12 @@ def gauss_invert(t: AffineGaussianMap, prior: GaussianMeasure) -> AffineGaussian
         raise SchemaError("prior dimension does not match map input")
     S, A = prior.cov, t.A
     K = A @ S @ A.T + t.noise
+    _check_range("the predictive covariance", K)
     G = _checked_solve(K, A @ S).T     # S A' K^-1
-    post_A = G
     post_b = prior.mean - G @ (A @ prior.mean + t.b)
     post_cov = S - G @ A @ S
-    return AffineGaussianMap(post_A, post_b, post_cov)
+    _check_range("the inverse map", G, post_b, post_cov)
+    return AffineGaussianMap(G, post_b, post_cov)
 
 
 def gauss_condition(joint: GaussianMeasure, head_dim: int, y) -> GaussianMeasure:
@@ -337,6 +355,14 @@ def _coverage_check(g: GaussianMeasure, grid: GridSpec) -> None:
                 f"than half a standard deviation ({sd / 2:.6g})")
 
 
+def _resolution_check(step: float, var: float, what: str) -> None:
+    """At most one grid step per standard deviation of a conditional,
+    which a grid that resolves each marginal may still alias."""
+    if step > math.sqrt(var):
+        raise GridError(f"grid step {step:.6g} is coarser than the standard "
+                        f"deviation of {what} ({math.sqrt(var):.6g})")
+
+
 def _whitened(centers: np.ndarray, means, var: float) -> np.ndarray:
     """(centers - mean) / sqrt(var): one row per mean, 1-D for a scalar mean."""
     z = centers - np.asarray(means)[..., None]
@@ -345,13 +371,16 @@ def _whitened(centers: np.ndarray, means, var: float) -> np.ndarray:
 
 
 def _density_rows(*z: np.ndarray) -> np.ndarray:
-    """exp(-|z|^2 / 2) at the whitened offsets ``z``, one array per axis,
-    normalized to mass one along the last axis.  Frozen, so the value
-    classes take it without a copy."""
-    rows = z[0] * -0.5
-    rows *= z[0]
+    """exp(-|z|^2 / 2) at the fresh whitened offsets ``z`` (one array per
+    axis), in the buffer of z[0] and normalized along the last axis; halving
+    the summed squares once is exact, so it gives the bits of halving each.
+    The value classes take these rows frozen, unchecked and uncopied, and
+    BayesModel still checks a prior: each value is in [0, 1], a row total
+    not > 0 (NaN too) is refused and each row is divided by its total."""
+    rows = np.square(z[0], out=z[0])
     for zi in z[1:]:
-        rows += zi * -0.5 * zi
+        rows += np.square(zi, out=zi)
+    rows *= -0.5
     np.exp(rows, out=rows)
     totals = rows.sum(axis=-1)
     if not (totals > 0).all():
@@ -379,15 +408,17 @@ def gauss_discretize(g: GaussianMeasure, grid: GridSpec,
         raise GridError("cannot discretize: covariance is singular")
     c0 = grid.centers(0)
     z = (_whitened(c0, g.mean[0], g.cov[0, 0]),)
-    space = FiniteSpace(tuple(float(c) for c in c0))
+    space = FiniteSpace(tuple(c0.tolist()))
     if grid.ndim == 2:
         # axis 1 given axis 0 is N(m1 + beta (x0 - m0), det / c00); the
         # grid is flattened, first axis slowest, so one row is all of it
-        c1, beta = grid.centers(1), g.cov[0, 1] / g.cov[0, 0]
-        z1 = _whitened(c1, g.mean[1] + beta * (c0 - g.mean[0]), det / g.cov[0, 0])
+        c1, beta, var1 = grid.centers(1), g.cov[0, 1] / g.cov[0, 0], det / g.cov[0, 0]
+        if strict:
+            _resolution_check(grid.step[1], var1, "axis 1 given axis 0")
+        z1 = _whitened(c1, g.mean[1] + beta * (c0 - g.mean[0]), var1)
         z = (np.repeat(z[0], c1.size), z1.ravel())
-        space = product_space([space, FiniteSpace(tuple(float(c) for c in c1))])
-    return prob_measure(space, _density_rows(*z))
+        space = product_space([space, FiniteSpace(tuple(c1.tolist()))])
+    return FiniteMeasure(space, _density_rows(*z))
 
 
 def discretize_model(prior: GaussianMeasure, t: AffineGaussianMap,
@@ -414,14 +445,14 @@ def discretize_model(prior: GaussianMeasure, t: AffineGaussianMap,
                           f"of {MAX_GRID_CELLS ** 2} entries")
     prior_m = gauss_discretize(prior, pgrid)
     _coverage_check(pred, ogrid)
-    obs_space = FiniteSpace(tuple(float(c) for c in obs))
     # Row p is gauss_discretize(t.at(cell p), ogrid, strict=False), for all p at once.
     if t.noise[0, 0] <= 0:
         raise GridError("cannot discretize: covariance is singular")
+    _resolution_check(ogrid.step[0], t.noise[0, 0], "the observation given the parameter")
     mesh = np.meshgrid(*axes, indexing="ij")
     means = sum(a * x.ravel() for a, x in zip(t.A[0], mesh)) + t.b[0]
     rows = _density_rows(_whitened(obs, means, t.noise[0, 0]))
-    return BayesModel(prior_m, finite_kernel(prior_m.space, obs_space, rows))
+    return BayesModel(prior_m, FiniteKernel(prior_m.space, FiniteSpace(tuple(obs.tolist())), rows))
 
 
 discretize_model_1d = discretize_model      # the old name, which bench/workloads.py calls

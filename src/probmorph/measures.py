@@ -396,11 +396,10 @@ def _normalized_rows(w: np.ndarray, fallback, scale=None) -> tuple:
     one factor per column) divided by its mass, and ``fallback`` in the
     rows of zero mass, with the mask of those rows."""
     if w.dtype == np.float64:
-        if scale is not None:
-            w = w * scale
-        mass = w.sum(axis=1)
+        rows = w.copy() if scale is None else w * scale     # divided in place
+        mass = rows.sum(axis=1)
         null = mass == 0
-        rows = w / np.where(null, 1, mass)[:, None]
+        rows /= np.where(null, 1, mass)[:, None]
         rows[null] = fallback
         return rows, null
     n, k = w.shape

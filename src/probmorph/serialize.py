@@ -287,18 +287,24 @@ def gp_model_from_jsonable(d, where: str = "gp") -> GPModel:
 # ---------------------------------------------------------------------------
 # CSV for GP regression
 
+# UTF-8, past the byte-order mark that spreadsheets may write before the header.
+_CSV_ENCODING = "utf-8-sig"
+
+
 def _xy_columns(fieldnames, need_y: bool, where: str):
-    names = [f.strip() for f in fieldnames or []]
-    if "x" in names:
+    """The header names of the x columns and of the y column (None when
+    absent).  Names match with surrounding spaces stripped."""
+    raw = {f.strip(): f for f in fieldnames or []}
+    if "x" in raw:
         xcols = ["x"]
     else:
-        xcols = sorted((n for n in names if n.startswith("x") and n[1:].isdigit()),
+        xcols = sorted((n for n in raw if n.startswith("x") and n[1:].isdigit()),
                        key=lambda n: int(n[1:]))
         if not xcols:
             raise SchemaError(f"{where}: need an 'x' column (or x1..xd)")
-    if need_y and "y" not in names:
+    if need_y and "y" not in raw:
         raise SchemaError(f"{where}: need a 'y' column")
-    return xcols
+    return [raw[n] for n in xcols], raw.get("y")
 
 
 def _parse_x(row, xcols, where, what="input value"):
@@ -312,21 +318,21 @@ def _parse_x(row, xcols, where, what="input value"):
 
 
 def read_training_csv(path) -> TrainingSet:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=_CSV_ENCODING) as fh:
         reader = csv.DictReader(fh)
-        xcols = _xy_columns(reader.fieldnames, True, str(path))
+        xcols, ycol = _xy_columns(reader.fieldnames, True, str(path))
         pairs = []
         for row in reader:
             x = _parse_x(row, xcols, str(path))
-            y = _parse_x(row, ["y"], str(path), "y")
+            y = _parse_x(row, [ycol], str(path), "y")
             pairs.append((x, y))
     return TrainingSet(tuple(pairs))
 
 
 def read_test_csv(path) -> TestInputs:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=_CSV_ENCODING) as fh:
         reader = csv.DictReader(fh)
-        xcols = _xy_columns(reader.fieldnames, False, str(path))
+        xcols, _ = _xy_columns(reader.fieldnames, False, str(path))
         points = [_parse_x(row, xcols, str(path)) for row in reader]
     if not points:
         raise SchemaError(f"{str(path)}: no test points")

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, SchemaError, _clip
+from .errors import SchemaError, _clip
 from .measures import (
     FiniteMeasure,
     FiniteSpace,
@@ -33,7 +33,7 @@ from .measures import (
     require_same_scalar,
 )
 from .kernels import FiniteKernel, marginal, pushforward
-from .gaussian import GaussianMeasure, _checked_solve
+from .gaussian import GaussianMeasure, _check_range, _checked_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,6 +365,5 @@ def gp_posterior_predictive(gp: GPModel, s: TrainingSet, t: TestInputs,
         gain = np.linalg.solve(C, ktx.T)
         mean = mt + ktx @ alpha
         cov = ktt - ktx @ gain
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise NumericalError("the posterior predictive overflows the float range")
+    _check_range("the posterior predictive", mean, cov)
     return GaussianMeasure(mean, cov)

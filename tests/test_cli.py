@@ -467,6 +467,19 @@ class TestGpPredict:
             "type": "OSError",
             "message": f"[Errno 2] No such file or directory: {str(missing)!r}"}
 
+    def test_header_spaces_and_a_byte_order_mark_read_as_plain_headers(self, tmp_path):
+        cfg, train, test = self._files(tmp_path)
+        plain = tmp_path / "plain.csv"
+        assert main(["gp-predict", "--input", cfg, "--data", train,
+                     "--test", test, "--output", str(plain)]) == 0
+        spaced_train, spaced_test = tmp_path / "spaced-train.csv", tmp_path / "spaced-test.csv"
+        spaced_train.write_bytes("\ufeffx, y\n0.0, 1.0\n".encode("utf-8"))
+        spaced_test.write_text(" x\n0.0\n")
+        spaced = tmp_path / "spaced.csv"
+        assert main(["gp-predict", "--input", cfg, "--data", str(spaced_train),
+                     "--test", str(spaced_test), "--output", str(spaced)]) == 0
+        assert spaced.read_bytes() == plain.read_bytes()
+
     def test_bad_csv_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "gp.json", GP_CONFIG)
         train = tmp_path / "train.csv"

@@ -16,6 +16,7 @@ from probmorph import (
     GridSpec,
     GridError,
     NotPSDError,
+    NumericalError,
     SchemaError,
     SingularMatrixError,
     gauss_compose,
@@ -158,6 +159,19 @@ class TestClosedForms:
         t = AffineGaussianMap([[0.0]], [5.0], [[0.0]])
         out = gauss_pushforward(t, GaussianMeasure([1.0], [[2.0]]))
         assert out.mean[0] == 5.0 and out.cov[0, 0] == 0.0
+
+    @pytest.mark.parametrize("op", [
+        lambda t, g: gauss_compose(t, t), gauss_pushforward, gauss_graph, gauss_invert,
+        lambda t, g: gauss_convolve(GaussianMeasure([0.0], [[1e308]]),
+                                    GaussianMeasure([0.0], [[1e308]]))],
+        ids=["compose", "pushforward", "graph", "invert", "convolve"])
+    def test_an_overflowing_result_is_a_numerical_error(self, op):
+        # A A' overflows; the suite turns a RuntimeWarning into an error,
+        # and gauss_invert used to report a condition estimate of nan
+        t = AffineGaussianMap([[1e300]], [0.0], [[1.0]])
+        with pytest.raises(NumericalError, match="overflows the float range") as exc:
+            op(t, GaussianMeasure([0.0], [[1.0]]))
+        assert type(exc.value) is NumericalError
 
 
 class TestInversion:
@@ -302,6 +316,30 @@ class TestDiscretize:
             m = gauss_discretize(g, grid)
             assert np.abs(m.weights - self.quad_form_weights(g, grid)).sum() <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_axis_bits_are_the_halved_squares_formula(self, seed):
+        # the oracle halves each square before summing; gauss_discretize
+        # halves the sum once, which gives the same bits
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            sd = rng.uniform(0.1, 3.0, size=2)
+            rho = rng.uniform(-0.95, 0.95)
+            cov = np.outer(sd, sd) * np.array([[1.0, rho], [rho, 1.0]])
+            g = GaussianMeasure(rng.normal(size=2) * 3.0, cov)
+            grid = GridSpec.around(g.mean, sd, 5.0, 0.1)
+            c0, c1 = grid.centers(0), grid.centers(1)
+            beta = g.cov[0, 1] / g.cov[0, 0]
+            var1 = float(np.linalg.det(g.cov)) / g.cov[0, 0]
+            z0 = c0 - g.mean[0]
+            z0 /= math.sqrt(g.cov[0, 0])
+            z1 = c1 - (g.mean[1] + beta * (c0 - g.mean[0]))[:, None]
+            z1 /= math.sqrt(var1)
+            z0, z1 = np.repeat(z0, c1.size), z1.ravel()
+            w = (z0 * -0.5) * z0 + (z1 * -0.5) * z1
+            np.exp(w, out=w)
+            w /= w.sum()
+            assert np.array_equal(gauss_discretize(g, grid).weights, w)
+
     def test_two_axis_grid_that_catches_no_mass_is_refused_without_strict(self):
         g = GaussianMeasure([0.0, 0.0], np.eye(2))
         with pytest.raises(GridError, match="no probability mass"):
@@ -425,6 +463,47 @@ class TestGridRowsAndConditionEstimate:
         assert finite.prior.weights is made[0]
         assert finite.sampling.rows is made[-1]
         assert made[-1].shape == (finite.parameters.size, finite.observations.size)
+
+    def test_a_bridge_holds_one_grid_array_at_a_time(self):
+        # 400 x 400 cells, as in the grid-bridge benchmark: the rows are
+        # built in the whitened offsets' buffer, and inversion allocates
+        # only its own rows
+        prior = GaussianMeasure([0.3], [[0.7]])
+        t = AffineGaussianMap([[1.3]], [-0.2], [[0.4]])
+        grid = 400 * 400 * 8
+        tracemalloc.start()
+        try:
+            finite = pm.discretize_model(prior, t, 8.0, 0.04)
+            made = tracemalloc.get_traced_memory()[1]
+            pm.bayes_invert(finite)
+            inverted = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert finite.sampling.rows.shape == (400, 400)
+        assert made <= 1.5 * grid and inverted <= 2.5 * grid
+
+    @pytest.mark.parametrize("z", [[[0.0, 1.0], [0.0, np.nan]], [[0.0, 1.0], [40.0, 41.0]]],
+                             ids=["nan-offset", "all-underflow"])
+    def test_rows_without_positive_mass_are_refused(self, z):
+        with pytest.raises(GridError, match="no probability mass"):
+            pm.gaussian._density_rows(np.array(z))
+
+    # (prior covariance of (f(t), f(x)), noise variance, refusal)
+    UNRESOLVED = [
+        # corr 0.9896 at 0.2 sd: f(x) given f(t) has sd 0.144, 0.72 steps
+        ([[1.0, 0.9896], [0.9896, 1.0]], 1.0, "deviation of axis 1 given axis 0"),
+        # y given f(x) has sd 0.173 against a step of 0.2 * 1.015
+        ([[1.0, 0.5], [0.5, 1.0]], 0.03, "deviation of the observation given the parameter")]
+
+    @pytest.mark.parametrize("cov, noise, refusal", UNRESOLVED,
+                             ids=["axis-1-given-axis-0", "observation-given-parameter"])
+    def test_a_step_over_a_conditional_sd_is_refused(self, cov, noise, refusal):
+        # the GP bridge's shape: y = f(x) + noise, grids of 0.2 marginal sd,
+        # which resolve every marginal
+        prior = GaussianMeasure([0.0, 0.0], cov)
+        t = AffineGaussianMap([[0.0, 1.0]], [0.0], [[noise]])
+        with pytest.raises(GridError, match=refusal):
+            pm.discretize_model(prior, t, 6.0, 0.2)
 
     def test_zero_noise_map_is_refused(self):
         prior = GaussianMeasure([0.0], [[1.0]])

@@ -489,6 +489,19 @@ class TestCsv:
         s = ser.read_training_csv(p)
         assert s.pairs == (((0.0, 1.0), 5.0),)
 
+    @pytest.mark.parametrize("read, text, value", [
+        (ser.read_training_csv, "x, y\n0.0, 1.0\n", ((0.0, 1.0),)),
+        (ser.read_training_csv, "x1, x2, y\n0.0,1.0,5.0\n", (((0.0, 1.0), 5.0),)),
+        (ser.read_test_csv, " x\n0.5\n", (0.5,)),
+        (ser.read_training_csv, "\ufeffx,y\n0.0,1.0\n", ((0.0, 1.0),))],
+        ids=["spaced", "spaced-columns", "leading-space", "byte-order-mark"])
+    def test_header_spaces_and_a_byte_order_mark_are_accepted(self, tmp_path, read, text,
+                                                              value):
+        p = tmp_path / "data.csv"
+        p.write_bytes(text.encode("utf-8"))
+        data = read(p)
+        assert (data.pairs if read is ser.read_training_csv else data.points) == value
+
     def test_missing_y_column_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x\n0.0\n")
